@@ -1,10 +1,18 @@
 """Channel matrices over exact rationals and their privacy/leakage measures.
 
 A channel is a row-stochastic matrix of conditional output probabilities.
-All probabilities are kept as ``fractions.Fraction`` end to end; logarithms
-(entropies, epsilon values) appear only at the reporting boundary.  This
-makes audits, the canonical-form transformations and every bound-tightness
-check exact, with no tolerance debates about what "attains" means.
+All probabilities are kept exact end to end; logarithms (entropies, epsilon
+values) appear only at the reporting boundary.  This makes audits, the
+canonical-form transformations and every bound-tightness check exact, with
+no tolerance debates about what "attains" means.
+
+A :class:`ChannelMatrix` stores each row as integer numerators over one
+positive per-row denominator, the lcm of the row's entry denominators.  A
+row is stochastic iff its numerators are non-negative and sum to its
+denominator, and entries of two rows compare by integer cross-multiplication,
+so validation, the audit, column maxima and posterior success never divide.
+``Fraction`` values appear at the API edge (``entries``, ``entry``,
+``column`` and the results).
 
 The privacy audit follows the discrete ratio formulation: a matrix satisfies
 the epsilon constraint for a graph iff every pair of adjacent rows keeps
@@ -17,9 +25,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .graphs import UNREACHABLE, distances
 
@@ -58,6 +68,12 @@ def log2_fraction(q):
 
 def format_fraction(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _format_ratio(num, den):
+    """``format_fraction(Fraction(num, den))`` without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 @dataclass(frozen=True)
@@ -122,57 +138,124 @@ class Prior:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
 class ChannelMatrix:
-    """Row-stochastic matrix of exact conditional probabilities p(col | row)."""
+    """Row-stochastic matrix of exact conditional probabilities p(col | row).
 
-    entries: tuple
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
+    Row i is stored as integer numerators ``numerators[i]`` over one
+    positive denominator ``denominators[i]``, the lcm of the row's entry
+    denominators, so the form is unique and every row satisfies
+    ``sum(numerators[i]) == denominators[i]``.  ``entries``, the same values
+    as a tuple of ``Fraction`` tuples, is derived on first access.
 
-    def __post_init__(self):
-        entries = tuple(tuple(as_fraction(x) for x in row) for row in self.entries)
-        if not entries or not entries[0]:
+    ``entries`` may hold anything :func:`as_fraction` reads.  When
+    ``denominators`` is given, ``entries`` holds integer numerators instead
+    and row i is ``entries[i]`` over ``denominators[i]``.  Instances are
+    immutable, compare and hash by value and labels.
+    """
+
+    def __init__(self, entries, row_labels=None, col_labels=None, *, denominators=None):
+        values = None
+        if denominators is None:
+            values = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+            dens = tuple(math.lcm(*(x.denominator for x in row)) for row in values)
+            nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                         for row, den in zip(values, dens))
+        else:
+            nums = tuple(tuple(row) for row in entries)
+            dens = tuple(denominators)
+            if len(dens) != len(nums) or any(den <= 0 for den in dens):
+                raise ValueError("every row needs one positive denominator")
+        if not nums or not nums[0]:
             raise ValueError("a channel matrix needs at least one row and column")
-        m = len(entries[0])
-        for row in entries:
+        m = len(nums[0])
+        for row, den in zip(nums, dens):
             if len(row) != m:
                 raise ValueError("all rows must have the same length")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ValueError("probabilities must be non-negative")
-            if sum(row) != 1:
+            if sum(row) != den:
                 raise ValueError("every row must sum exactly to 1")
-        object.__setattr__(self, "entries", entries)
-        rl = self.row_labels
-        cl = self.col_labels
-        rl = tuple(str(x) for x in rl) if rl is not None else tuple(str(i) for i in range(len(entries)))
-        cl = tuple(str(x) for x in cl) if cl is not None else tuple(str(j) for j in range(m))
-        if len(rl) != len(entries) or len(cl) != m:
+        if values is None:
+            # Reduce to the lcm form; a row's sum is its denominator, so the
+            # gcd of its numerators divides the denominator too.
+            gcds = [math.gcd(*row) for row in nums]
+            if any(g > 1 for g in gcds):
+                nums = tuple(row if g == 1 else tuple(x // g for x in row)
+                             for row, g in zip(nums, gcds))
+                dens = tuple(den // g for den, g in zip(dens, gcds))
+        else:
+            self.__dict__["entries"] = values     # the cached_property's slot
+        rl = tuple(str(x) for x in row_labels) if row_labels is not None \
+            else tuple(str(i) for i in range(len(nums)))
+        cl = tuple(str(x) for x in col_labels) if col_labels is not None \
+            else tuple(str(j) for j in range(m))
+        if len(rl) != len(nums) or len(cl) != m:
             raise ValueError("label counts must match the matrix shape")
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominators", dens)
         object.__setattr__(self, "row_labels", rl)
         object.__setattr__(self, "col_labels", cl)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.numerators, self.denominators, self.row_labels, self.col_labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ChannelMatrix(entries={self.entries!r}, row_labels={self.row_labels!r},"
+                f" col_labels={self.col_labels!r})")
+
+    @cached_property
+    def entries(self):
+        return tuple(tuple(Fraction(x, den) for x in row)
+                     for row, den in zip(self.numerators, self.denominators))
+
     @property
     def rows(self):
-        return len(self.entries)
+        return len(self.numerators)
 
     @property
     def cols(self):
-        return len(self.entries[0])
+        return len(self.numerators[0])
 
     def entry(self, i, j):
-        return self.entries[i][j]
+        return Fraction(self.numerators[i][j], self.denominators[i])
 
     def column(self, j):
-        return tuple(row[j] for row in self.entries)
+        return tuple(Fraction(row[j], den) for row, den in zip(self.numerators, self.denominators))
+
+    def _weighted_column_maxima(self, weights):
+        """Column maxima of ``weights[i] * M[i][j]`` over one denominator.
+
+        Returns ``(tops, den)`` with ``max_i weights[i] * M[i][j] ==
+        tops[j] / den`` for every column j.  Each row is scaled to ``den``
+        by one integer, so the maxima are taken over integers.
+        """
+        scaled = [Fraction(w, den) for w, den in zip(weights, self.denominators)]
+        den = math.lcm(*(s.denominator for s in scaled))
+        factors = [s.numerator * (den // s.denominator) for s in scaled]
+        return [max(map(operator.mul, col, factors)) for col in zip(*self.numerators)], den
 
     @cached_property
     def column_maxima(self):
-        return tuple(max(self.column(j)) for j in range(self.cols))
+        tops, den = self._weighted_column_maxima([1] * self.rows)
+        return tuple(Fraction(t, den) for t in tops)
 
     def with_labels(self, row_labels=None, col_labels=None):
-        return replace(self, row_labels=row_labels or self.row_labels,
-                       col_labels=col_labels or self.col_labels)
+        return type(self)(self.numerators, row_labels or self.row_labels,
+                          col_labels or self.col_labels, denominators=self.denominators)
 
     @classmethod
     def from_rows(cls, rows, row_labels=None, col_labels=None):
@@ -180,8 +263,8 @@ class ChannelMatrix:
 
     @classmethod
     def identity(cls, n, row_labels=None, col_labels=None):
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return cls.from_rows(rows, row_labels, col_labels)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        return cls(rows, row_labels, col_labels, denominators=[1] * n)
 
     @classmethod
     def constant_rows(cls, row, n, row_labels=None, col_labels=None):
@@ -189,12 +272,18 @@ class ChannelMatrix:
 
     # -- serialization ------------------------------------------------------
 
+    def _formatted_rows(self):
+        """Each row as reduced ``num/den`` texts, one per distinct entry."""
+        for row, den in zip(self.numerators, self.denominators):
+            text = {x: _format_ratio(x, den) for x in set(row)}
+            yield [text[x] for x in row]
+
     def to_csv(self):
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + list(self.col_labels))
-        for label, row in zip(self.row_labels, self.entries):
-            writer.writerow([label] + [format_fraction(x) for x in row])
+        for label, row in zip(self.row_labels, self._formatted_rows()):
+            writer.writerow([label] + row)
         return out.getvalue()
 
     @classmethod
@@ -214,7 +303,7 @@ class ChannelMatrix:
         return {
             "row_labels": list(self.row_labels),
             "col_labels": list(self.col_labels),
-            "entries": [[format_fraction(x) for x in row] for row in self.entries],
+            "entries": list(self._formatted_rows()),
         }
 
     def to_json(self):
@@ -285,25 +374,37 @@ class DpAudit:
 
 
 def dp_audit(matrix, graph):
-    """Audit the ratio constraint of every adjacent row pair in every column."""
+    """Audit the ratio constraint of every adjacent row pair in every column.
+
+    Entries a/D_i and b/D_h are compared as the integers a*D_h and b*D_i
+    (as a and b when D_i == D_h), and the worst ratio is kept as an integer
+    pair until the end.  The witness is the first strict maximum in
+    ``edge_list`` and column order.
+    """
     if matrix.rows != graph.n:
         raise ValueError("matrix rows must match the graph's vertex count")
-    best = Fraction(1)
+    nums, dens = matrix.numerators, matrix.denominators
+    best_num = best_den = 1
     witness = None
     for i, h in graph.edge_list:
-        row_i = matrix.entries[i]
-        row_h = matrix.entries[h]
-        for j in range(matrix.cols):
-            a, b = row_i[j], row_h[j]
-            if a == b:
+        den_i, den_h = dens[i], dens[h]
+        if den_i == den_h:
+            pairs = zip(nums[i], nums[h])
+        else:
+            pairs = zip(map(operator.mul, nums[i], repeat(den_h)),
+                        map(operator.mul, nums[h], repeat(den_i)))
+        for j, (x, y) in enumerate(pairs):
+            if x == y:
                 continue
-            if a == 0 or b == 0:
-                wit = (i, h, j) if a > 0 else (h, i, j)
+            if x == 0 or y == 0:
+                wit = (i, h, j) if x > 0 else (h, i, j)
                 return DpAudit(math.inf, wit, None)
-            ratio = a / b if a > b else b / a
-            if ratio > best:
-                best = ratio
-                witness = (i, h, j) if a > b else (h, i, j)
+            if x > y:
+                if x * best_den > y * best_num:
+                    best_num, best_den, witness = x, y, (i, h, j)
+            elif y * best_den > x * best_num:
+                best_num, best_den, witness = y, x, (h, i, j)
+    best = Fraction(best_num, best_den)
     eps_star = 0.0 if best == 1 else math.log(best.numerator) - math.log(best.denominator)
     return DpAudit(eps_star, witness, best)
 
@@ -370,10 +471,8 @@ def posterior_success(prior, matrix):
     """
     if len(prior) != matrix.rows:
         raise ValueError("prior length must match the matrix rows")
-    total = Fraction(0)
-    for j in range(matrix.cols):
-        total += max(matrix.entries[i][j] * prior.probs[i] for i in range(matrix.rows))
-    return total
+    tops, den = matrix._weighted_column_maxima(prior.probs)
+    return Fraction(sum(tops), den)
 
 
 def posterior_min_entropy(prior, matrix):

@@ -100,16 +100,27 @@ def _privacy(args):
 
 
 def _emit(args, payload, text_lines):
+    """Write ``payload`` as JSON, or the lines ``text_lines()`` returns as text.
+
+    The text report is built only when it is written.
+    """
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        out = "\n".join(text_lines) + "\n"
+        out = "\n".join(text_lines()) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
     return 0
+
+
+def non_negative_float(text):
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return value
 
 
 def _fmt_eps(value):
@@ -165,7 +176,7 @@ def cmd_graph(args):
     payload["vt_plus"] = cert.status
     payload["vt_plus_method"] = cert.method
     lines.append(f"VT+: {cert.status} ({cert.method})")
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: lines)
 
 
 def cmd_analyze(args):
@@ -192,24 +203,8 @@ def cmd_analyze(args):
         "min_capacity_bits": min_capacity(matrix),
         "column_maxima_sum": format_fraction(column_maxima_sum(matrix)),
     }
-    lines = [
-        f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
-        f"eps_star: {_fmt_eps(audit.eps_star)}"
-        + (f" (max adjacent ratio {format_fraction(audit.max_ratio)},"
-           f" witness rows {audit.worst_witness[0]}/{audit.worst_witness[1]}"
-           f" column {audit.worst_witness[2]})" if audit.worst_witness else ""),
-        f"satisfies declared epsilon: {'yes' if payload['satisfies_epsilon'] else 'no'}"
-        f" (tolerance {args.tolerance:g})",
-        f"prior min-entropy: {payload['prior_min_entropy_bits']:.6f} bits"
-        f" (max prob {payload['max_prior_prob']})",
-        f"posterior success: {_frac_float(success)},"
-        f" min-entropy {payload['posterior_min_entropy_bits']:.6f} bits",
-        f"leakage: {payload['leakage_bits']:.6f} bits",
-        f"min-capacity: {payload['min_capacity_bits']:.6f} bits"
-        f" (column-maxima sum {payload['column_maxima_sum']})",
-        f"binary utility (optimal guess): {_frac_float(success)}",
-    ]
 
+    ent_bound = util_bound = None
     if g.is_connected and matrix.rows == g.n:
         shared = common_profile(g)
         if shared is not None:
@@ -217,23 +212,46 @@ def cmd_analyze(args):
             util_bound = bounds_mod.utility_bound(shared, pp)
             uniform = Prior.uniform(matrix.rows)
             uniform_success = posterior_success(uniform, matrix)
-            attains = uniform_success == util_bound.probability
             payload.update({
                 "posterior_entropy_bound_bits": ent_bound.bits,
                 "utility_bound": format_fraction(util_bound.probability),
                 "uniform_utility": format_fraction(uniform_success),
-                "attains_bound": attains,
+                "attains_bound": uniform_success == util_bound.probability,
             })
+        else:
+            payload["bounds_note"] = "profile is base-dependent; symmetry bounds not applicable"
+
+    def text():
+        ratio = "inf" if audit.max_ratio is None else format_fraction(audit.max_ratio)
+        lines = [
+            f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
+            f"eps_star: {_fmt_eps(audit.eps_star)}"
+            + (f" (max adjacent ratio {ratio},"
+               f" witness rows {audit.worst_witness[0]}/{audit.worst_witness[1]}"
+               f" column {audit.worst_witness[2]})" if audit.worst_witness else ""),
+            f"satisfies declared epsilon: {'yes' if payload['satisfies_epsilon'] else 'no'}"
+            f" (tolerance {args.tolerance:g})",
+            f"prior min-entropy: {payload['prior_min_entropy_bits']:.6f} bits"
+            f" (max prob {payload['max_prior_prob']})",
+            f"posterior success: {_frac_float(success)},"
+            f" min-entropy {payload['posterior_min_entropy_bits']:.6f} bits",
+            f"leakage: {payload['leakage_bits']:.6f} bits",
+            f"min-capacity: {payload['min_capacity_bits']:.6f} bits"
+            f" (column-maxima sum {payload['column_maxima_sum']})",
+            f"binary utility (optimal guess): {_frac_float(success)}",
+        ]
+        if util_bound is not None:
             lines.append(
                 f"posterior entropy bound: {ent_bound.bits:.6f} bits"
                 f" (core {format_fraction(ent_bound.exact_core)})")
             lines.append(
                 f"utility bound (uniform prior): {_frac_float(util_bound.probability)}")
-            lines.append(f"attains bound: {'yes' if attains else 'no'}")
-        else:
-            payload["bounds_note"] = "profile is base-dependent; symmetry bounds not applicable"
+            lines.append(f"attains bound: {'yes' if payload['attains_bound'] else 'no'}")
+        elif "bounds_note" in payload:
             lines.append("bounds: not applicable (base-dependent profile)")
-    return _emit(args, payload, lines)
+        return lines
+
+    return _emit(args, payload, text)
 
 
 def cmd_transform(args):
@@ -259,15 +277,14 @@ def cmd_transform(args):
         "success_preserved": success_before == success_after,
         "matrix": cf.matrix.to_dict(),
     }
-    lines = [
+    return _emit(args, payload, lambda: [
         f"stage: {cf.stage}" + (f" ({cf.symmetry})" if cf.symmetry else ""),
         f"eps_star: {_fmt_eps(before.eps_star)} -> {_fmt_eps(after.eps_star)}",
         f"uniform success: {format_fraction(success_before)} -> {format_fraction(success_after)}"
         f" ({'preserved exactly' if success_before == success_after else 'CHANGED'})",
         "",
         cf.matrix.to_csv().rstrip("\n"),
-    ]
-    return _emit(args, payload, lines)
+    ])
 
 
 def cmd_synth(args):
@@ -278,15 +295,14 @@ def cmd_synth(args):
     payload = bundle.to_dict()
     payload["utility"] = format_fraction(bundle.c)
     payload["eps_star"] = audit.eps_star
-    lines = [
+    return _emit(args, payload, lambda: [
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
         f"normaliser c: {_frac_float(bundle.c)}",
         f"uniform-prior utility: {_frac_float(bundle.c)} (equals the bound by construction)",
         f"eps_star: {_fmt_eps(audit.eps_star)}",
         "",
         bundle.matrix.to_csv().rstrip("\n"),
-    ]
-    return _emit(args, payload, lines)
+    ])
 
 
 def cmd_compare(args):
@@ -319,14 +335,18 @@ def cmd_compare(args):
         else:
             sys.stdout.write(out)
         return 0
-    lines = []
-    for row in rows:
-        lines.append(f"prior {row['prior']}:")
-        lines.append(f"  utility:  {_frac_float(Fraction(row['utility_a']))}"
-                     f"  vs  {_frac_float(Fraction(row['utility_b']))}")
-        lines.append(f"  leakage:  {row['leakage_a']:.6f} bits"
-                     f"  vs  {row['leakage_b']:.6f} bits")
-    return _emit(args, {"rows": rows}, lines)
+
+    def text():
+        lines = []
+        for row in rows:
+            lines.append(f"prior {row['prior']}:")
+            lines.append(f"  utility:  {_frac_float(Fraction(row['utility_a']))}"
+                         f"  vs  {_frac_float(Fraction(row['utility_b']))}")
+            lines.append(f"  leakage:  {row['leakage_a']:.6f} bits"
+                         f"  vs  {row['leakage_b']:.6f} bits")
+        return lines
+
+    return _emit(args, {"rows": rows}, text)
 
 
 def cmd_oracle(args):
@@ -346,23 +366,29 @@ def cmd_oracle(args):
                 best = (value, matrix)
         report = SearchReport("random", args.seed, count, best[0], best[1])
     payload = report.to_dict()
-    lines = [
-        f"method: {report.method}",
-        f"seed: {report.seed}",
-        f"trials: {report.trials}",
-        f"best utility: {_frac_float(report.best_utility)}",
-    ]
     try:
         shared = common_profile(g)
     except DisconnectedGraphError:
         shared = None
+    bound = None
     if shared is not None:
         bound = bounds_mod.utility_bound(shared, pp)
         payload["utility_bound"] = format_fraction(bound.probability)
-        gap = bound.probability - report.best_utility
-        lines.append(f"utility bound: {_frac_float(bound.probability)}"
-                     f" (gap {format_fraction(gap)})")
-    return _emit(args, payload, lines)
+
+    def text():
+        lines = [
+            f"method: {report.method}",
+            f"seed: {report.seed}",
+            f"trials: {report.trials}",
+            f"best utility: {_frac_float(report.best_utility)}",
+        ]
+        if bound is not None:
+            gap = bound.probability - report.best_utility
+            lines.append(f"utility bound: {_frac_float(bound.probability)}"
+                         f" (gap {format_fraction(gap)})")
+        return lines
+
+    return _emit(args, payload, text)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +433,7 @@ def build_parser():
     _add_privacy(p)
     p.add_argument("--matrix", required=True, help="matrix CSV/JSON path or fixture:geometric")
     p.add_argument("--prior", help="prior CSV path (label,value per line)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_LN_TOL,
+    p.add_argument("--tolerance", type=non_negative_float, default=DEFAULT_LN_TOL,
                    help="ln-scale tolerance of the epsilon verdict")
     p.set_defaults(func=cmd_analyze)
 

@@ -143,14 +143,17 @@ def _distance_kernel(graph, pp):
                 f"{graph.label(0)} {tuple(base_profile.counts)} and "
                 f"{graph.label(base)} {tuple(distance_profile(graph, base).counts)}; "
                 "a shared normaliser cannot make the distance kernel row-stochastic")
-    r = pp.r
-    core = sum((n_d * r ** d for d, n_d in enumerate(base_profile.counts)), Fraction(0))
-    c = 1 / core
+    # With r = p/q and diameter D, c * r^d = p^d q^(D-d) / sum_d n_d p^d q^(D-d):
+    # every row shares that integer denominator.
+    p, q = pp.r.numerator, pp.r.denominator
     dm = distances(graph)
-    powers = [c * r ** d for d in range(dm.diameter + 1)]
-    entries = [[powers[dm.d(i, j)] for j in range(graph.n)] for i in range(graph.n)]
+    top = dm.diameter
+    weights = [p ** d * q ** (top - d) for d in range(top + 1)]
+    total = sum(n_d * w for n_d, w in zip(base_profile.counts, weights))
+    c = Fraction(q ** top, total)
+    numerators = [[weights[d] for d in row] for row in dm.dist]
     labels = graph.labels or tuple(str(i) for i in range(graph.n))
-    matrix = ChannelMatrix.from_rows(entries, labels, labels)
+    matrix = ChannelMatrix(numerators, labels, labels, denominators=[total] * graph.n)
     return matrix, c, base_profile
 
 
@@ -230,9 +233,10 @@ def compose_oblivious(secret_graph, answer_map, bundle):
         raise ValueError("answer map must be total over the secret domain")
     if any(not 0 <= y < bundle.matrix.rows for y in f):
         raise ValueError("answer map image is not covered by the randomiser's rows")
-    rows = [bundle.matrix.entries[f[x]] for x in range(secret_graph.n)]
+    matrix = bundle.matrix
     labels = secret_graph.labels or tuple(str(i) for i in range(secret_graph.n))
-    composite = ChannelMatrix.from_rows(rows, labels, bundle.matrix.col_labels)
+    composite = ChannelMatrix([matrix.numerators[y] for y in f], labels, matrix.col_labels,
+                              denominators=[matrix.denominators[y] for y in f])
     induced = {(f[i], f[j]) for i, j in secret_graph.edge_list if f[i] != f[j]}
     answer_graph = Graph(bundle.graph.n, induced, bundle.graph.labels)
     return composite, answer_graph

@@ -1,6 +1,7 @@
 """Channel arithmetic: audits, entropies, leakage, capacity, serialization."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,20 @@ from hypothesis import strategies as st
 
 from dpchannel import (
     ChannelMatrix,
+    DpAudit,
     PrivacyParameter,
     Prior,
     ROUNDED_FIXTURE_LN_TOL,
     as_fraction,
     build_clique,
     build_cycle,
+    build_hamming,
+    build_path,
+    build_petersen,
     column_maxima_sum,
     distance_ratio_audit,
     dp_audit,
+    format_fraction,
     is_dp,
     leakage,
     min_capacity,
@@ -131,6 +137,151 @@ class TestChannelMatrix:
     def test_json_roundtrip_exact(self):
         m = truncated_geometric_fixture()
         assert ChannelMatrix.from_json(m.to_json()) == m
+
+
+class TestIntegerRows:
+    def test_integer_rows_equal_and_hash_like_fraction_rows(self):
+        from_fractions = ChannelMatrix.from_rows(
+            [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 3)] * 3],
+            ["x", "y"], ["a", "b", "c"])
+        # the second row is not in lowest terms and gets reduced
+        from_integers = ChannelMatrix([[2, 1, 1], [2, 2, 2]], ["x", "y"], ["a", "b", "c"],
+                                      denominators=[4, 6])
+        assert from_integers == from_fractions
+        assert hash(from_integers) == hash(from_fractions)
+        assert from_integers.numerators == ((2, 1, 1), (1, 1, 1))
+        assert from_integers.denominators == (4, 3)
+        assert from_integers.entries == from_fractions.entries
+        assert from_integers.to_csv() == from_fractions.to_csv()
+        assert from_integers.to_dict() == from_fractions.to_dict()
+
+    def test_denominator_is_the_lcm_of_the_row(self):
+        m = ChannelMatrix.from_rows([["1/6", "1/4", "7/12"], ["0", "1", "0"]])
+        assert m.numerators == ((2, 3, 7), (0, 1, 0))
+        assert m.denominators == (12, 1)
+
+    def test_synthesised_kernel_equals_its_fraction_form(self):
+        m = optimal_mechanism(build_hamming(2, 3), HALF).matrix
+        again = ChannelMatrix.from_rows(m.entries, m.row_labels, m.col_labels)
+        assert again == m and hash(again) == hash(m)
+        assert m.with_labels(row_labels=tuple("abcdefghi")) != m
+
+    def test_matrices_are_immutable(self):
+        m = ChannelMatrix.identity(2)
+        with pytest.raises(AttributeError):
+            m.numerators = ((1, 0), (1, 0))
+
+    @pytest.mark.parametrize("rows, denominators, message", [
+        ([[1], [Fraction(1, 2), Fraction(1, 2)]], None, "all rows must have the same length"),
+        ([[1], [1, 0]], [1, 1], "all rows must have the same length"),
+        ([[Fraction(3, 2), Fraction(-1, 2)]], None, "probabilities must be non-negative"),
+        ([[3, -1]], [2], "probabilities must be non-negative"),
+        ([[Fraction(1, 2), Fraction(1, 3)]], None, "every row must sum exactly to 1"),
+        ([[1, 1], [1, 2]], [2, 2], "every row must sum exactly to 1"),
+        ([[]], None, "at least one row and column"),
+        ([[0, 0]], [0], "one positive denominator"),
+        ([[1, 0]], [1, 1], "one positive denominator"),
+    ])
+    def test_validation_messages(self, rows, denominators, message):
+        with pytest.raises(ValueError, match=message):
+            ChannelMatrix(rows, denominators=denominators)
+
+
+def reference_dp_audit(matrix, graph):
+    """The audit computed over Fractions, one ratio per column."""
+    best = Fraction(1)
+    witness = None
+    for i, h in graph.edge_list:
+        row_i = matrix.entries[i]
+        row_h = matrix.entries[h]
+        for j in range(matrix.cols):
+            a, b = row_i[j], row_h[j]
+            if a == b:
+                continue
+            if a == 0 or b == 0:
+                wit = (i, h, j) if a > 0 else (h, i, j)
+                return DpAudit(math.inf, wit, None)
+            ratio = a / b if a > b else b / a
+            if ratio > best:
+                best = ratio
+                witness = (i, h, j) if a > b else (h, i, j)
+    eps_star = 0.0 if best == 1 else math.log(best.numerator) - math.log(best.denominator)
+    return DpAudit(eps_star, witness, best)
+
+
+# Graphs the synthesiser accepts, and all of them with a path added.
+SYMMETRIC_GRAPHS = (build_cycle(5), build_clique(4), build_petersen(), build_hamming(2, 3))
+AUDIT_GRAPHS = SYMMETRIC_GRAPHS + (build_path(4),)
+PRECISE = PrivacyParameter.from_epsilon(0.7)
+
+
+def random_rows(rng, n, m, kind):
+    """Seeded rows of one kind: small integer weights with mixed row
+    denominators, a column that is zero in every row (0/0) and, one time in
+    three, one more zero cell (x/0); weights from {1, 2}, so maxima tie; or
+    powers of the 54-bit ratio of epsilon 0.7."""
+    if kind == "weights":
+        w = [[rng.randint(1, 7) for _ in range(m)] for _ in range(n)]
+        if m > 2:
+            for row in w:
+                row[0] = 0
+            if rng.random() < 1 / 3:
+                w[rng.randrange(n)][rng.randrange(1, m)] = 0
+    elif kind == "ties":
+        w = [[rng.choice((1, 2)) for _ in range(m)] for _ in range(n)]
+    else:
+        w = [[PRECISE.r ** rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+    return [[Fraction(x) / sum(row) for x in row] for row in w]
+
+
+class TestIntegerKernelMatchesFractionReference:
+    @pytest.mark.parametrize("kind", ["weights", "ties", "precise"])
+    def test_dp_audit(self, kind):
+        rng = random.Random(f"audit-{kind}")
+        outcomes = set()
+        for _ in range(60):
+            g = rng.choice(AUDIT_GRAPHS)
+            m = ChannelMatrix.from_rows(random_rows(rng, g.n, rng.randint(2, 6), kind))
+            audit = dp_audit(m, g)
+            assert audit == reference_dp_audit(m, g)
+            outcomes.add(audit.max_ratio is None)
+        if kind == "weights":
+            assert outcomes == {True, False}     # both infinite and finite audits
+
+    def test_dp_audit_at_the_boundary_and_beyond(self):
+        for g in SYMMETRIC_GRAPHS:
+            kernel = optimal_mechanism(g, PRECISE).matrix   # every adjacent ratio ties at 1/r
+            audit = dp_audit(kernel, g)
+            assert audit == reference_dp_audit(kernel, g)
+            assert audit.max_ratio == PRECISE.inv_ratio
+            rng = random.Random(g.n)
+            mixed = ChannelMatrix.from_rows(
+                [[Fraction(k, 4) * x + Fraction(4 - k, 4) * y for x, y in zip(row, other)]
+                 for row, other, k in zip(kernel.entries, reversed(kernel.entries),
+                                           (rng.randint(0, 4) for _ in kernel.entries))])
+            assert dp_audit(mixed, g) == reference_dp_audit(mixed, g)
+
+    def test_zero_over_zero_is_ratio_one(self):
+        m = ChannelMatrix.from_rows([["1/2", "1/2", "0"], ["1/4", "3/4", "0"]])
+        audit = dp_audit(m, build_clique(2))
+        assert audit == reference_dp_audit(m, build_clique(2))
+        assert audit.max_ratio == 2 and audit.worst_witness == (0, 1, 0)
+
+    @pytest.mark.parametrize("kind", ["weights", "ties", "precise"])
+    def test_column_maxima_success_and_serialisers(self, kind):
+        rng = random.Random(f"leakage-{kind}")
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            m = ChannelMatrix.from_rows(random_rows(rng, n, rng.randint(1, 6), kind))
+            prior = Prior(tuple(random_rows(rng, 1, n, kind)[0]))
+            rebuilt = ChannelMatrix.from_rows(m.entries)
+            assert m.column_maxima == tuple(max(rebuilt.column(j)) for j in range(m.cols))
+            assert posterior_success(prior, m) == sum(
+                max(m.entries[i][j] * prior.probs[i] for i in range(n)) for j in range(m.cols))
+            cells = [[format_fraction(x) for x in row] for row in m.entries]
+            assert m.to_dict()["entries"] == cells
+            assert m.to_csv().splitlines()[1:] == [
+                ",".join([label] + row) for label, row in zip(m.row_labels, cells)]
 
 
 class TestDpAudit:

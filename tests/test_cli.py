@@ -1,11 +1,13 @@
 """Command-line behaviour: wiring, formats, exit codes, stability."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from dpchannel import (
+    ChannelMatrix,
     PrivacyParameter,
     build_clique,
     optimal_mechanism,
@@ -111,6 +113,31 @@ class TestAnalyzeCommand:
         with pytest.raises(SystemExit):
             main(["analyze", "--family", "clique:6", "--matrix", m2_csv,
                   "--ratio", "1/2", "--epsilon", "0.3"])
+
+    def test_zero_opposite_a_positive_entry_is_an_infinite_ratio(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a,b\nx,1,0\ny,1/2,1/2\n", encoding="utf-8")
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 2, "edges": [[0, 1]]}', encoding="utf-8")
+        args = ["analyze", "--graph-file", str(graph), "--matrix", str(matrix), "--ratio", "1/2"]
+        assert main(args + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["eps_star_infinite"] is True
+        assert payload["max_ratio"] is None
+        assert payload["satisfies_epsilon"] is False
+        assert payload["witness"] == [1, 0, 1]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "eps_star: inf (max adjacent ratio inf, witness rows 1/0 column 1)" in out
+        assert "satisfies declared epsilon: no" in out
+
+    @pytest.mark.parametrize("value", ["-0.1", "-1e-12", "nan"])
+    def test_negative_tolerance_is_refused(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--family", "clique:6", "--matrix", "fixture:geometric",
+                  "--ratio", "1/2", f"--tolerance={value}"])
+        assert exc.value.code != 0
+        assert "--tolerance: must be a non-negative number" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -223,3 +250,36 @@ class TestOracleCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+# sha256 of the JSON reports, captured before channels were stored as
+# integer rows; the representation must not change a byte of output.
+GOLDEN_JSON_SHA256 = {
+    ("synth", "--family", "petersen", "--ratio", "1/2"):
+        "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
+    ("synth", "--family", "hamming:3,4", "--ratio", "2/3"):
+        "5ea10eb25fa5b71de7a39c2ecf2707ec888eedd9e842fdeef975bb68843e43e1",
+    ("synth", "--family", "hamming:3,2", "--epsilon", "0.7"):
+        "f7ea8bf9f00826e7bf3479d573ee1a18f3581c7cf3a46739386c07a50fe829ba",
+    ("analyze", "--matrix", "fixture:geometric", "--family", "path:6", "--ratio", "1/2"):
+        "57ef9dd7bdb20840e3a5a245c0ed3f3cb19a4b13f21a01e40c871ed275f628ec",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv", list(GOLDEN_JSON_SHA256), ids=" ".join)
+    def test_json_report_is_byte_identical(self, argv, capsys):
+        assert main(list(argv) + ["--format", "json"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+    @pytest.mark.parametrize("command", ["synth", "transform"])
+    def test_json_mode_renders_no_text(self, command, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("text rendering in JSON mode")
+
+        monkeypatch.setattr(ChannelMatrix, "to_csv", refuse)
+        argv = [command, "--family", "clique:6", "--format", "json"]
+        argv += ["--ratio", "1/2"] if command == "synth" else ["--matrix", "fixture:geometric"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
