@@ -26,14 +26,12 @@ from .bounds import (
 from .channels import (
     ChannelMatrix,
     DEFAULT_LN_TOL,
-    DistanceRatioAudit,
     DpAudit,
     PrivacyParameter,
     Prior,
     ROUNDED_FIXTURE_LN_TOL,
     as_fraction,
     column_maxima_sum,
-    distance_ratio_audit,
     dp_audit,
     format_fraction,
     is_dp,

@@ -31,8 +31,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .graphs import UNREACHABLE, distances
-
 DEFAULT_LN_TOL = 1e-9
 # Published tables rounded to three decimals can nominally overshoot the
 # declared epsilon by a couple of thousandths; audit those with this profile.
@@ -411,47 +409,6 @@ def dp_audit(matrix, graph):
 
 def is_dp(matrix, graph, pp, tol=DEFAULT_LN_TOL):
     return dp_audit(matrix, graph).is_dp(pp, tol)
-
-
-@dataclass(frozen=True)
-class DistanceRatioAudit:
-    """Result of the chained ratio check at every distance, not just 1."""
-
-    ok: bool
-    worst_witness: tuple | None
-
-
-def distance_ratio_audit(matrix, graph, pp):
-    """Check M[i][j] <= M[h][j] / r^d(i,h) for every ordered pair and column.
-
-    Any channel passing :func:`dp_audit` at the same level passes here too,
-    because the single-step ratio constraint chains along shortest paths.
-    Pairs in different components are unconstrained.
-    """
-    if matrix.rows != graph.n:
-        raise ValueError("matrix rows must match the graph's vertex count")
-    dm = distances(graph)
-    r = pp.r
-    powers = [r ** d for d in range(dm.diameter + 1)]
-    worst = None
-    worst_excess = None
-    for i in range(graph.n):
-        for h in range(graph.n):
-            if i == h:
-                continue
-            d = dm.d(i, h)
-            if d == UNREACHABLE:
-                continue
-            scale = powers[d]
-            for j in range(matrix.cols):
-                lhs = matrix.entries[i][j] * scale
-                rhs = matrix.entries[h][j]
-                if lhs > rhs:
-                    excess = lhs - rhs
-                    if worst_excess is None or excess > worst_excess:
-                        worst_excess = excess
-                        worst = (i, h, j)
-    return DistanceRatioAudit(worst is None, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,10 @@ from .channels import (
 from .graphs import (
     DEFAULT_SEARCH_EFFORT,
     DEFAULT_SIZE_CAP,
-    DisconnectedGraphError,
     Graph,
     build_family,
     common_profile,
     distance_profile,
-    distances,
     is_distance_regular,
     vt_plus_certificate,
 )
@@ -148,7 +146,7 @@ def cmd_graph(args):
              "degrees: " + ", ".join(f"{k} (x{v})" for k, v in sorted(hist.items())),
              f"connected: {'yes' if g.is_connected else 'no'}"]
     if g.is_connected:
-        dm = distances(g)
+        dm = g.distance_matrix
         profile = distance_profile(g, 0)
         shared = common_profile(g)
         payload.update({
@@ -366,10 +364,7 @@ def cmd_oracle(args):
                 best = (value, matrix)
         report = SearchReport("random", args.seed, count, best[0], best[1])
     payload = report.to_dict()
-    try:
-        shared = common_profile(g)
-    except DisconnectedGraphError:
-        shared = None
+    shared = common_profile(g) if g.is_connected else None
     bound = None
     if shared is not None:
         bound = bounds_mod.utility_bound(shared, pp)

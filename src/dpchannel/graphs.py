@@ -4,14 +4,20 @@ Everything downstream (channel audits, leakage bounds, mechanism synthesis)
 is driven by an undirected adjacency structure: the domain of secrets, the
 domain of query answers, or the clique of values a single participant can
 take.  This module builds the standard domains (Hamming product domains,
-cliques, cycles, paths, the Petersen graph), computes all-pairs BFS
-distances and per-vertex distance profiles, and classifies the two symmetry
-families everything else relies on:
+cliques, cycles, paths, the Petersen graph) and classifies the two
+symmetry families everything else relies on:
 
 * distance-regular graphs, certified by an intersection array, and
 * graphs admitting n automorphisms that move any fixed vertex through
   every position exactly once (a sharply transitive family, verified
   explicitly by :func:`verify_family`).
+
+Each :class:`Graph` computes its all-pairs BFS distance matrix once, on
+first use, and derives connectivity, the per-vertex distance profiles and
+distance-regularity from it.  The rest of the library (the distance kernel,
+the canonical form's distance classes, the random sampler's component
+representatives) reads ``graph.distance_matrix`` instead of running its own
+BFS or component search.
 
 Classification is exact: a "yes" always carries a checked certificate, a
 "no" is only reported when the search space was exhausted (or a structural
@@ -96,8 +102,24 @@ class Graph:
         return len(set(self.degrees)) == 1
 
     @cached_property
+    def distance_matrix(self):
+        """All-pairs distances, computed once per graph by :func:`distances`."""
+        return distances(self)
+
+    @cached_property
     def is_connected(self):
-        return UNREACHABLE not in _bfs(self, 0)
+        return UNREACHABLE not in self.distance_matrix.dist[0]
+
+    @cached_property
+    def profile_counts(self):
+        """``profile_counts[v][d]``: vertices at distance d from v.
+
+        Raises ``DisconnectedGraphError`` when some vertex is unreachable.
+        """
+        if not self.is_connected:
+            raise DisconnectedGraphError("distance profile needs a connected graph")
+        return tuple(tuple(row.count(d) for d in range(max(row) + 1))
+                     for row in self.distance_matrix.dist)
 
     def neighbors(self, v):
         return self.adjacency[v]
@@ -243,6 +265,18 @@ def _tuple_label(tup, v):
     return ".".join(str(d) for d in tup)
 
 
+def _hamming_edges(tuples, v):
+    """Index pairs of base-v ordered tuples that differ in exactly one coordinate."""
+    u = len(tuples[0])
+    strides = [v ** (u - 1 - i) for i in range(u)]
+    edges = set()
+    for idx, tup in enumerate(tuples):
+        for i, stride in enumerate(strides):
+            for val in range(tup[i] + 1, v):
+                edges.add((idx, idx + (val - tup[i]) * stride))
+    return edges
+
+
 def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     """Product domain of ``u`` participants over ``v`` values.
 
@@ -260,15 +294,9 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     n = v ** u
     if n > size_cap:
         raise SizeCapError(f"hamming({u},{v}) has {n} vertices, above the cap of {size_cap}")
-    strides = [v ** (u - 1 - i) for i in range(u)]
     tuples = list(itertools.product(range(v), repeat=u))
-    edges = set()
-    for idx, tup in enumerate(tuples):
-        for i in range(u):
-            for val in range(tup[i] + 1, v):
-                edges.add((idx, idx + (val - tup[i]) * strides[i]))
     labels = tuple(_tuple_label(t, v) for t in tuples)
-    return Graph(n, edges, labels)
+    return Graph(n, _hamming_edges(tuples, v), labels)
 
 
 def build_clique(n):
@@ -301,7 +329,8 @@ def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
     """Build a graph from a compact family spec.
 
     Accepted forms: ``clique:N``, ``cycle:N``, ``path:N``, ``petersen``,
-    ``hamming:U,V``.
+    ``hamming:U,V``.  Raises ``SizeCapError``, before building anything,
+    when the family has more than ``size_cap`` vertices.
     """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
@@ -315,6 +344,8 @@ def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
             size = int(arg)
         except ValueError:
             raise ValueError(f"malformed graph family spec {spec!r}") from None
+        if size > size_cap:
+            raise SizeCapError(f"{name}({size}) has {size} vertices, above the cap of {size_cap}")
         return sized[name](size)
     if name == "hamming":
         try:
@@ -345,7 +376,8 @@ def _bfs(g, source):
 def distances(g):
     """All-pairs BFS distances."""
     rows = [_bfs(g, s) for s in range(g.n)]
-    diameter = max(d for row in rows for d in row if d != UNREACHABLE)
+    # UNREACHABLE is below the zero diagonal, so each row's max is finite
+    diameter = max(max(row) for row in rows)
     return DistanceMatrix(tuple(tuple(r) for r in rows), diameter)
 
 
@@ -354,22 +386,18 @@ def distance_profile(g, base=0):
 
     Raises ``DisconnectedGraphError`` when some vertex is unreachable.
     """
-    dist = _bfs(g, base)
-    if UNREACHABLE in dist:
-        raise DisconnectedGraphError("distance profile needs a connected graph")
-    counts = [0] * (max(dist) + 1)
-    for d in dist:
-        counts[d] += 1
-    return DistanceProfile(base, tuple(counts))
+    return DistanceProfile(base, g.profile_counts[base])
 
 
 def common_profile(g):
-    """The shared distance profile of all base vertices, or None if it varies."""
-    first = distance_profile(g, 0)
-    for base in range(1, g.n):
-        if distance_profile(g, base).counts != first.counts:
-            return None
-    return first
+    """The shared distance profile of all base vertices, or None if it varies.
+
+    Raises ``DisconnectedGraphError`` when some vertex is unreachable.
+    """
+    counts = g.profile_counts
+    if any(other != counts[0] for other in counts):
+        return None
+    return DistanceProfile(0, counts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +416,7 @@ def is_distance_regular(g):
         raise DisconnectedGraphError("distance-regularity is defined for connected graphs")
     if not g.is_regular:
         return None
-    dm = distances(g)
+    dm = g.distance_matrix
     diam = dm.diameter
     b = [None] * (diam + 1)
     c = [None] * (diam + 1)
@@ -587,13 +615,7 @@ def _hamming_parameters(g):
         return None
     if digits != list(itertools.product(range(v), repeat=u)):
         return None
-    strides = [v ** (u - 1 - i) for i in range(u)]
-    expected = set()
-    for idx, tup in enumerate(digits):
-        for i in range(u):
-            for val in range(tup[i] + 1, v):
-                expected.add((idx, idx + (val - tup[i]) * strides[i]))
-    if frozenset(expected) != g.edges:
+    if _hamming_edges(digits, v) != g.edges:
         return None
     return u, v
 
@@ -606,7 +628,6 @@ def hamming_translation_family(u, v):
     fixed vertex visits every position exactly once.
     """
     n = v ** u
-    strides = [v ** (u - 1 - i) for i in range(u)]
     tuples = list(itertools.product(range(v), repeat=u))
     index = {t: i for i, t in enumerate(tuples)}
     perms = []

@@ -29,7 +29,7 @@ from .channels import (
     as_fraction,
     posterior_success,
 )
-from .graphs import DisconnectedGraphError, Graph, distance_profile, distances
+from .graphs import DisconnectedGraphError, Graph, common_profile
 
 
 class BaseDependentProfileError(ValueError):
@@ -135,18 +135,18 @@ def _distance_kernel(graph, pp):
     """The c * r^distance channel, with its normaliser and profile."""
     if not graph.is_connected:
         raise DisconnectedGraphError("mechanism synthesis needs a connected graph")
-    base_profile = distance_profile(graph, 0)
-    for base in range(1, graph.n):
-        if distance_profile(graph, base).counts != base_profile.counts:
-            raise BaseDependentProfileError(
-                "distance profile differs between vertices "
-                f"{graph.label(0)} {tuple(base_profile.counts)} and "
-                f"{graph.label(base)} {tuple(distance_profile(graph, base).counts)}; "
-                "a shared normaliser cannot make the distance kernel row-stochastic")
+    base_profile = common_profile(graph)
+    if base_profile is None:
+        counts = graph.profile_counts
+        base = next(v for v, other in enumerate(counts) if other != counts[0])
+        raise BaseDependentProfileError(
+            "distance profile differs between vertices "
+            f"{graph.label(0)} {counts[0]} and {graph.label(base)} {counts[base]}; "
+            "a shared normaliser cannot make the distance kernel row-stochastic")
     # With r = p/q and diameter D, c * r^d = p^d q^(D-d) / sum_d n_d p^d q^(D-d):
     # every row shares that integer denominator.
     p, q = pp.r.numerator, pp.r.denominator
-    dm = distances(graph)
+    dm = graph.distance_matrix
     top = dm.diameter
     weights = [p ** d * q ** (top - d) for d in range(top + 1)]
     total = sum(n_d * w for n_d, w in zip(base_profile.counts, weights))

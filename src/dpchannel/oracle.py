@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import ChannelMatrix, as_fraction, dp_audit
-from .graphs import SizeCapError, UNREACHABLE, distances
+from .graphs import SizeCapError, UNREACHABLE
 from .mechanisms import BaseDependentProfileError, optimal_mechanism
 
 GRID_VERTEX_CAP = 3
@@ -199,26 +199,6 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     return SearchReport("hillclimb", seed, iters, best_success / n, matrix)
 
 
-def _components(graph):
-    seen = [False] * graph.n
-    comps = []
-    for s in range(graph.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in graph.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def _contraction_towards_uniform(entries, graph, r, m):
     """Smallest blend with the uniform channel that restores feasibility.
 
@@ -255,9 +235,9 @@ def random_dp_sample(graph, pp, count, seed):
     """
     rng = random.Random(seed)
     n = graph.n
-    dm = distances(graph)
-    comps = _components(graph)
-    reps = [comp[0] for comp in comps]
+    dm = graph.distance_matrix
+    # each component's smallest vertex: no smaller vertex is reachable from it
+    reps = [v for v, row in enumerate(dm.dist) if row[:v].count(UNREACHABLE) == v]
     r = pp.r
     max_shift = 2
     powers = [r ** d for d in range(dm.diameter + max_shift + 1)]

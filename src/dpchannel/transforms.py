@@ -27,8 +27,6 @@ from fractions import Fraction
 from .channels import ChannelMatrix
 from .graphs import (
     DEFAULT_SEARCH_EFFORT,
-    distance_profile,
-    distances,
     is_distance_regular,
     verify_family,
     vt_plus_certificate,
@@ -128,8 +126,8 @@ def symmetrize_distance_regular(cf, graph, array):
     if check != array:
         raise ValueError("intersection array does not match the graph")
     n, m = graph.n, cf.matrix.cols
-    dm = distances(graph)
-    counts = distance_profile(graph, 0).counts
+    dm = graph.distance_matrix
+    counts = graph.profile_counts[0]
     sums = [Fraction(0)] * (dm.diameter + 1)
     old = cf.matrix.entries
     for h in range(n):
@@ -173,12 +171,13 @@ def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
     """Full pipeline: diagonalise, then symmetrise with whichever symmetry holds.
 
     Distance-regularity is preferred because its certificate is cheap to
-    recompute; a sharply transitive family is used otherwise.  Raises
+    recompute; a sharply transitive family is used otherwise, and always on
+    a disconnected graph, where distance-regularity is undefined.  Raises
     ``SymmetryRequiredError`` when neither applies (or could be certified
     within the search budget).
     """
     cf = to_diagonal_form(matrix, graph)
-    array = is_distance_regular(graph)
+    array = is_distance_regular(graph) if graph.is_connected else None
     if array is not None:
         return symmetrize_distance_regular(cf, graph, array)
     cert = vt_plus_certificate(graph, effort)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dpchannel import (
     ChannelMatrix,
     DpAudit,
+    Graph,
     PrivacyParameter,
     Prior,
     ROUNDED_FIXTURE_LN_TOL,
@@ -21,7 +22,6 @@ from dpchannel import (
     build_path,
     build_petersen,
     column_maxima_sum,
-    distance_ratio_audit,
     dp_audit,
     format_fraction,
     is_dp,
@@ -33,8 +33,11 @@ from dpchannel import (
     posterior_success,
     prior_from_csv,
     prior_to_csv,
+    random_dp_sample,
     truncated_geometric_fixture,
 )
+
+from chained_audit import distance_ratio_audit
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -393,6 +396,28 @@ class TestDistanceRatioAudit:
         result = distance_ratio_audit(ChannelMatrix.identity(3), g, HALF)
         assert not result.ok
         assert result.worst_witness is not None
+
+    @pytest.mark.parametrize("g", [
+        build_cycle(6), build_petersen(), build_path(4),
+        Graph(6, {(0, 1), (1, 2), (3, 4)}),   # two components and an isolated vertex
+    ], ids=["cycle6", "petersen", "path4", "disconnected"])
+    def test_chained_scan_agrees_with_the_zero_tolerance_edge_audit(self, g):
+        rng = random.Random(f"chained-{g.n}-{len(g.edges)}")
+        kinds = set()
+        for pp in (HALF, PrivacyParameter.from_ratio(Fraction(1, 3))):
+            channels = list(random_dp_sample(g, pp, 6, seed=rng.randrange(10 ** 6)))
+            for low in (1, 0):   # positive weights break ratios, zero weights break support
+                for _ in range(12):
+                    m = rng.randint(2, 5)
+                    channels.append(weights_to_matrix(
+                        [[rng.randint(low, 9) for _ in range(m - 1)] + [rng.randint(1, 9)]
+                         for _ in range(g.n)]))
+            for matrix in channels:
+                audit = dp_audit(matrix, g)
+                ok = audit.is_dp(pp, 0)
+                assert distance_ratio_audit(matrix, g, pp).ok == ok
+                kinds.add("feasible" if ok else "zero" if audit.max_ratio is None else "ratio")
+        assert kinds == {"feasible", "ratio", "zero"}
 
     def test_synthesised_matrix_is_pinned_at_every_entry(self):
         g = build_cycle(6)

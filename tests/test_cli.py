@@ -8,11 +8,13 @@ import pytest
 
 from dpchannel import (
     ChannelMatrix,
+    Graph,
     PrivacyParameter,
     build_clique,
     optimal_mechanism,
     truncated_geometric_fixture,
 )
+from dpchannel import graphs
 from dpchannel.cli import main
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
@@ -195,6 +197,17 @@ class TestTransformCommand:
         assert payload["merge_map"] == [0, 1, 1]
         assert payload["matrix"]["entries"][0] == ["1/2", "1/2", "0"]
 
+    def test_symmetric_stage_on_disconnected_vertex_transitive_graph(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(Graph(4, {(0, 1), (2, 3)}).to_json(), encoding="utf-8")
+        path = tmp_path / "m.csv"
+        path.write_text(ChannelMatrix.identity(4).to_csv(), encoding="utf-8")
+        assert main(["transform", "--stage", "symmetric", "--graph-file", str(g),
+                     "--matrix", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["symmetry"] == "vt_plus"
+        assert payload["success_preserved"] is True
+
 
 class TestCompareCommand:
     def test_published_pair_under_both_priors(self, m2_csv, city_prior_csv, capsys):
@@ -264,6 +277,38 @@ GOLDEN_JSON_SHA256 = {
     ("analyze", "--matrix", "fixture:geometric", "--family", "path:6", "--ratio", "1/2"):
         "57ef9dd7bdb20840e3a5a245c0ed3f3cb19a4b13f21a01e40c871ed275f628ec",
 }
+
+
+class TestOneDistancePass:
+    """Each command runs one BFS per vertex of its graph, and no more."""
+
+    @pytest.fixture
+    def bfs_passes(self, monkeypatch):
+        calls = []
+        bfs = graphs._bfs
+
+        def counting_bfs(g, source):
+            calls.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(graphs, "_bfs", counting_bfs)
+        return calls
+
+    def test_synth(self, bfs_passes, capsys):
+        assert main(["synth", "--family", "hamming:3,3", "--ratio", "1/2"]) == 0
+        assert len(bfs_passes) == 27
+
+    def test_graph(self, bfs_passes, capsys):
+        assert main(["graph", "--family", "petersen"]) == 0
+        assert len(bfs_passes) == 10
+
+    def test_symmetric_transform(self, bfs_passes, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(ChannelMatrix.identity(9).to_csv(), encoding="utf-8")
+        assert main(["transform", "--stage", "symmetric", "--family", "hamming:2,3",
+                     "--matrix", str(path)]) == 0
+        assert "(distance_regular)" in capsys.readouterr().out
+        assert len(bfs_passes) == 9
 
 
 class TestGoldenOutput:

@@ -82,6 +82,13 @@ class TestConstructors:
             build_hamming(13, 2)
         assert build_hamming(13, 2, size_cap=10_000).n == 8192
 
+    @pytest.mark.parametrize("spec", ["clique:11", "cycle:11", "path:11"])
+    def test_sized_families_respect_the_cap(self, spec):
+        name = spec.partition(":")[0]
+        with pytest.raises(SizeCapError, match=rf"^{name}\(11\) has 11 vertices, above the cap of 10$"):
+            build_family(spec, size_cap=10)
+        assert build_family(spec.replace("11", "10"), size_cap=10).n == 10
+
     @pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (-1, 3)])
     def test_hamming_argument_errors(self, u, v):
         with pytest.raises(ValueError):
@@ -159,6 +166,31 @@ class TestDistances:
         for i, h in g.edge_list:
             for j in range(g.n):
                 assert abs(dm.d(i, j) - dm.d(h, j)) <= 1
+
+    @pytest.mark.parametrize("g", [
+        build_hamming(2, 3), build_path(4), build_petersen(), STAR_K13,
+        Graph(5, {(0, 1), (2, 3)}),
+    ])
+    def test_graph_derives_everything_from_one_cached_matrix(self, g):
+        dm = g.distance_matrix
+        assert g.distance_matrix is dm
+        assert dm == distances(g)
+        reach = [independent_bfs(g.edges, g.n, s) for s in range(g.n)]
+        assert g.is_connected == all(len(r) == g.n for r in reach)
+        for s in range(g.n):
+            assert dm.dist[s] == tuple(reach[s].get(t, UNREACHABLE) for t in range(g.n))
+        if not g.is_connected:
+            with pytest.raises(DisconnectedGraphError):
+                g.profile_counts
+            with pytest.raises(DisconnectedGraphError):
+                common_profile(g)
+            return
+        for s in range(g.n):
+            expected = [0] * (max(reach[s].values()) + 1)
+            for d in reach[s].values():
+                expected[d] += 1
+            assert g.profile_counts[s] == tuple(expected)
+            assert distance_profile(g, s).counts == tuple(expected)
 
     def test_disconnected_sentinels(self):
         g = Graph(4, {(0, 1), (2, 3)})

@@ -21,7 +21,6 @@ from dpchannel import (
     build_hamming,
     build_path,
     compose_oblivious,
-    distance_ratio_audit,
     distances,
     dp_audit,
     f_map_from_csv,
@@ -37,6 +36,8 @@ from dpchannel import (
     truncated_geometric_fixture,
     utility,
 )
+
+from chained_audit import distance_ratio_audit
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 ONE = PrivacyParameter.from_ratio(1)
@@ -91,6 +92,12 @@ class TestOptimalMechanism:
         with pytest.raises(BaseDependentProfileError) as exc:
             optimal_mechanism(build_path(3), HALF)
         assert "profile differs" in str(exc.value)
+
+    def test_diagnostic_names_the_first_base_that_differs_from_vertex_0(self):
+        star = Graph(4, {(0, 3), (1, 3), (2, 3)})   # leaves 0, 1, 2 share a profile
+        with pytest.raises(BaseDependentProfileError,
+                           match=r"vertices 0 \(1, 1, 2\) and 3 \(1, 3\);"):
+            optimal_mechanism(star, HALF)
 
     def test_refuses_disconnected_graphs(self):
         g = Graph(4, {(0, 1), (2, 3)})

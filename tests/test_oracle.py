@@ -1,5 +1,6 @@
 """Verification harness: exhaustive grid, hillclimb, random feasible channels."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from dpchannel import (
     build_hamming,
     build_petersen,
     distance_profile,
-    distance_ratio_audit,
     dp_audit,
     grid_search_optimal,
     hillclimb_utility,
@@ -24,6 +24,8 @@ from dpchannel import (
     random_dp_sample,
     utility_bound,
 )
+
+from chained_audit import distance_ratio_audit
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
@@ -159,6 +161,16 @@ class TestRandomSample:
         for matrix in random_dp_sample(g, HALF, 10, seed=6):
             audit = dp_audit(matrix, g)
             assert audit.max_ratio is not None and audit.max_ratio <= 2
+
+    def test_seeded_samples_on_a_disconnected_graph_are_pinned(self):
+        # sha256 of the seeded stream as released; each component's source
+        # vertex, and the order of the sources, must not change a byte
+        from dpchannel import Graph
+
+        g = Graph(7, {(0, 1), (1, 2), (3, 4), (4, 5)})
+        text = "".join(m.to_json() for m in random_dp_sample(g, HALF, 6, seed=21))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "63ae3ac27e71a6270a7658d6d10c52ffee139286c57921f61edb38cc925a1d0c")
 
     @pytest.mark.parametrize("spec", ["clique:6", "cycle:6", "petersen"])
     def test_no_sample_exceeds_the_utility_ceiling(self, spec):

@@ -7,6 +7,7 @@ import pytest
 from dpchannel import (
     CanonicalForm,
     ChannelMatrix,
+    Graph,
     PrivacyParameter,
     Prior,
     SymmetryRequiredError,
@@ -157,6 +158,20 @@ class TestSymmetrizeErrors:
         m = ChannelMatrix.constant_rows([Fraction(1, 3)] * 3, 3)
         with pytest.raises(SymmetryRequiredError):
             canonicalize(m, g)
+
+    def test_canonicalize_disconnected_vertex_transitive_graph(self):
+        # two disjoint edges: no distance-regularity, but a single-orbit family
+        g = Graph(4, {(0, 1), (2, 3)})
+        assert vt_plus_certificate(g).method == "single-orbit powers"
+        out = canonicalize(ChannelMatrix.identity(4), g)
+        assert out.stage == "symmetric"
+        assert out.symmetry == "vt_plus"
+        assert out.matrix == ChannelMatrix.identity(4)
+
+    def test_canonicalize_disconnected_irregular_graph_requires_symmetry(self):
+        g = Graph(5, {(0, 1), (1, 2), (2, 0), (3, 4)})
+        with pytest.raises(SymmetryRequiredError):
+            canonicalize(ChannelMatrix.identity(5), g)
 
 
 PIPELINE_GRAPHS = ["clique:6", "cycle:6", "petersen", "hamming:2,3"]
