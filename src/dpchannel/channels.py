@@ -326,17 +326,21 @@ def prior_to_csv(prior, labels=None):
 
 
 def prior_from_csv(text):
-    """Parse ``label,value`` lines; returns the prior and the label order."""
-    labels = []
-    values = []
+    """Parse ``label,value`` lines; returns the prior and the label order.
+
+    A label given on two lines is refused.
+    """
+    values = {}
     for row in csv.reader(io.StringIO(text)):
         if not row or not any(c.strip() for c in row):
             continue
         if len(row) != 2:
             raise ValueError("prior file lines must be 'label,value'")
-        labels.append(row[0].strip())
-        values.append(as_fraction(row[1]))
-    return Prior(tuple(values)), tuple(labels)
+        label = row[0].strip()
+        if label in values:
+            raise ValueError(f"prior label {label!r} given twice")
+        values[label] = as_fraction(row[1])
+    return Prior(tuple(values.values())), tuple(values)
 
 
 # ---------------------------------------------------------------------------

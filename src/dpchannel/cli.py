@@ -41,6 +41,7 @@ from .graphs import (
     DEFAULT_SEARCH_EFFORT,
     DEFAULT_SIZE_CAP,
     Graph,
+    SizeCapError,
     build_family,
     common_profile,
     distance_profile,
@@ -62,10 +63,15 @@ def _size_cap(args):
 
 
 def _load_graph(args):
+    cap = _size_cap(args)
     if args.family:
-        return build_family(args.family, size_cap=_size_cap(args))
+        return build_family(args.family, size_cap=cap)
     with open(args.graph_file, encoding="utf-8") as fh:
-        return Graph.from_json(fh.read())
+        g = Graph.from_json(fh.read())
+    if g.n > cap:
+        raise SizeCapError(
+            f"graph file {args.graph_file} has {g.n} vertices, above the cap of {cap}")
+    return g
 
 
 def _load_matrix(path):
@@ -97,15 +103,16 @@ def _privacy(args):
     return PrivacyParameter.from_epsilon(float(args.epsilon))
 
 
-def _emit(args, payload, text_lines):
-    """Write ``payload`` as JSON, or the lines ``text_lines()`` returns as text.
+def _emit(args, payload, **renderers):
+    """Write ``payload`` as JSON, or the lines ``renderers[args.format]()`` returns.
 
-    The text report is built only when it is written.
+    Every other format (``text``, and ``csv`` on compare) is a keyword whose
+    callable builds the lines only when that format is written.
     """
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        out = "\n".join(text_lines()) + "\n"
+        out = "\n".join(renderers[args.format]()) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -174,7 +181,7 @@ def cmd_graph(args):
     payload["vt_plus"] = cert.status
     payload["vt_plus_method"] = cert.method
     lines.append(f"VT+: {cert.status} ({cert.method})")
-    return _emit(args, payload, lambda: lines)
+    return _emit(args, payload, text=lambda: lines)
 
 
 def cmd_analyze(args):
@@ -249,7 +256,7 @@ def cmd_analyze(args):
             lines.append("bounds: not applicable (base-dependent profile)")
         return lines
 
-    return _emit(args, payload, text)
+    return _emit(args, payload, text=text)
 
 
 def cmd_transform(args):
@@ -275,7 +282,7 @@ def cmd_transform(args):
         "success_preserved": success_before == success_after,
         "matrix": cf.matrix.to_dict(),
     }
-    return _emit(args, payload, lambda: [
+    return _emit(args, payload, text=lambda: [
         f"stage: {cf.stage}" + (f" ({cf.symmetry})" if cf.symmetry else ""),
         f"eps_star: {_fmt_eps(before.eps_star)} -> {_fmt_eps(after.eps_star)}",
         f"uniform success: {format_fraction(success_before)} -> {format_fraction(success_after)}"
@@ -293,7 +300,7 @@ def cmd_synth(args):
     payload = bundle.to_dict()
     payload["utility"] = format_fraction(bundle.c)
     payload["eps_star"] = audit.eps_star
-    return _emit(args, payload, lambda: [
+    return _emit(args, payload, text=lambda: [
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
         f"normaliser c: {_frac_float(bundle.c)}",
         f"uniform-prior utility: {_frac_float(bundle.c)} (equals the bound by construction)",
@@ -320,19 +327,14 @@ def cmd_compare(args):
             "leakage_a": leakage(prior, left),
             "leakage_b": leakage(prior, right),
         })
-    if args.format == "csv":
+
+    def csv():
         lines = ["prior,utility_a,utility_b,leakage_a,leakage_b"]
         for row in rows:
             lines.append(f"{row['prior']},{float(Fraction(row['utility_a'])):.6f},"
                          f"{float(Fraction(row['utility_b'])):.6f},"
                          f"{row['leakage_a']:.6f},{row['leakage_b']:.6f}")
-        out = "\n".join(lines) + "\n"
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
-        return 0
+        return lines
 
     def text():
         lines = []
@@ -344,7 +346,7 @@ def cmd_compare(args):
                          f"  vs  {row['leakage_b']:.6f} bits")
         return lines
 
-    return _emit(args, {"rows": rows}, text)
+    return _emit(args, {"rows": rows}, text=text, csv=csv)
 
 
 def cmd_oracle(args):
@@ -383,30 +385,33 @@ def cmd_oracle(args):
                          f" (gap {format_fraction(gap)})")
         return lines
 
-    return _emit(args, payload, text)
+    return _emit(args, payload, text=text)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_output(p, formats=("text", "json")):
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
+
+
+def _add_graph_source(p):
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--family", help="clique:N | cycle:N | path:N | petersen | hamming:U,V")
+    grp.add_argument("--graph-file", help="graph JSON path")
     p.add_argument("--size-cap", type=int, default=None,
-                   help=f"vertex cap for constructions (or ${SIZE_CAP_ENV})")
+                   help=f"vertex cap for either graph source (or ${SIZE_CAP_ENV})")
+
+
+def _add_effort(p):
     p.add_argument("--effort", type=int, default=DEFAULT_SEARCH_EFFORT,
                    help="node budget for certificate searches")
 
 
-def _add_graph_source(p, required=True):
-    grp = p.add_mutually_exclusive_group(required=required)
-    grp.add_argument("--family", help="clique:N | cycle:N | path:N | petersen | hamming:U,V")
-    grp.add_argument("--graph-file", help="graph JSON path")
-
-
-def _add_privacy(p, required=True):
-    grp = p.add_mutually_exclusive_group(required=required)
+def _add_privacy(p):
+    grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--ratio", help="exact r = e^-epsilon as p/q or decimal")
     grp.add_argument("--epsilon", help="epsilon as a decimal, or the literal ln2")
 
@@ -418,12 +423,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="classify a graph")
-    _add_common(p)
+    _add_output(p)
     _add_graph_source(p)
+    _add_effort(p)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("analyze", help="audit a channel against a graph")
-    _add_common(p)
+    _add_output(p)
     _add_graph_source(p)
     _add_privacy(p)
     p.add_argument("--matrix", required=True, help="matrix CSV/JSON path or fixture:geometric")
@@ -433,27 +439,28 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("transform", help="canonical-form pipeline")
-    _add_common(p)
+    _add_output(p)
     _add_graph_source(p)
+    _add_effort(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--stage", choices=("diagonal", "symmetric"), default="symmetric")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("synth", help="synthesise the optimal mechanism")
-    _add_common(p)
+    _add_output(p)
     _add_graph_source(p)
     _add_privacy(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("compare", help="compare two channels under priors")
-    _add_common(p)
+    _add_output(p, formats=("text", "json", "csv"))
     p.add_argument("--matrix-a", required=True)
     p.add_argument("--matrix-b", required=True)
     p.add_argument("--prior", action="append", help="prior CSV path; repeatable")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle", help="verification searches")
-    _add_common(p)
+    _add_output(p)
     _add_graph_source(p)
     _add_privacy(p)
     p.add_argument("--method", choices=("grid", "hillclimb", "random"), required=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import ChannelMatrix, as_fraction, dp_audit
-from .graphs import SizeCapError, UNREACHABLE
+from .graphs import DisconnectedGraphError, SizeCapError, UNREACHABLE
 from .mechanisms import BaseDependentProfileError, optimal_mechanism
 
 GRID_VERTEX_CAP = 3
@@ -140,12 +140,14 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     matrix seen is reported (max reduction, earliest on ties).
 
     ``start`` defaults to the synthesised optimum, falling back to the
-    uniform channel on graphs the synthesiser refuses.
+    uniform channel on graphs the synthesiser refuses (base-dependent or
+    disconnected).  A one-column start has no move and is returned as is,
+    with zero trials.
     """
     if start is None:
         try:
             start = optimal_mechanism(graph, pp).matrix
-        except BaseDependentProfileError:
+        except (BaseDependentProfileError, DisconnectedGraphError):
             start = _uniform_start(graph.n)
     if start.rows != graph.n:
         raise ValueError("start matrix rows must match the graph's vertex count")
@@ -166,7 +168,8 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
                 return False
         return True
 
-    for _ in range(iters):
+    steps = iters if m > 1 else 0   # one column admits no transfer
+    for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(m)
         k = rng.randrange(m - 1)
@@ -196,7 +199,7 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
             best_entries = [row.copy() for row in entries]
 
     matrix = ChannelMatrix.from_rows(best_entries, start.row_labels, start.col_labels)
-    return SearchReport("hillclimb", seed, iters, best_success / n, matrix)
+    return SearchReport("hillclimb", seed, steps, best_success / n, matrix)
 
 
 def _contraction_towards_uniform(entries, graph, r, m):

@@ -125,6 +125,10 @@ def symmetrize_distance_regular(cf, graph, array):
         raise ValueError("the graph is not distance-regular")
     if check != array:
         raise ValueError("intersection array does not match the graph")
+    return _average_distance_classes(cf, graph)
+
+
+def _average_distance_classes(cf, graph):
     n, m = graph.n, cf.matrix.cols
     dm = graph.distance_matrix
     counts = graph.profile_counts[0]
@@ -152,6 +156,10 @@ def symmetrize_vt_plus(cf, graph, family):
     _require_diagonal(cf)
     if not verify_family(graph, family):
         raise ValueError("automorphism family failed verification")
+    return _average_relabelings(cf, graph, family)
+
+
+def _average_relabelings(cf, graph, family):
     n, m = graph.n, cf.matrix.cols
     old = cf.matrix.entries
     entries = [[Fraction(0)] * m for _ in range(n)]
@@ -174,15 +182,15 @@ def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
     recompute; a sharply transitive family is used otherwise, and always on
     a disconnected graph, where distance-regularity is undefined.  Raises
     ``SymmetryRequiredError`` when neither applies (or could be certified
-    within the search budget).
+    within the search budget).  Each symmetry is certified once: the
+    averaging runs straight on the certificate just obtained.
     """
     cf = to_diagonal_form(matrix, graph)
-    array = is_distance_regular(graph) if graph.is_connected else None
-    if array is not None:
-        return symmetrize_distance_regular(cf, graph, array)
+    if graph.is_connected and is_distance_regular(graph) is not None:
+        return _average_distance_classes(cf, graph)
     cert = vt_plus_certificate(graph, effort)
     if cert.status == "yes":
-        return symmetrize_vt_plus(cf, graph, cert.family)
+        return _average_relabelings(cf, graph, cert.family)
     raise SymmetryRequiredError(
         "graph is neither distance-regular nor certifiably vertex-transitive "
         f"(certificate search said {cert.status!r})")

@@ -117,6 +117,10 @@ class TestPrior:
         assert again == prior
         assert labels == ("A", "B", "C")
 
+    def test_csv_refuses_a_label_given_twice(self):
+        with pytest.raises(ValueError, match="prior label 'A' given twice"):
+            prior_from_csv("A,0\nA,1/2\nB,1/4\nC,1/4\n")
+
 
 class TestChannelMatrix:
     def test_rows_must_sum_to_one_exactly(self):

@@ -1,5 +1,6 @@
 """Command-line behaviour: wiring, formats, exit codes, stability."""
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -11,11 +12,12 @@ from dpchannel import (
     Graph,
     PrivacyParameter,
     build_clique,
+    build_cycle,
     optimal_mechanism,
     truncated_geometric_fixture,
 )
 from dpchannel import graphs
-from dpchannel.cli import main
+from dpchannel.cli import build_parser, main
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -78,6 +80,83 @@ class TestGraphCommand:
         assert "cap" in capsys.readouterr().err
 
 
+class TestGraphFileSizeCap:
+    """The size cap bounds a graph file as it bounds a family."""
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("n, code", [(10, 0), (11, 1)], ids=["at-cap", "above-cap"])
+    def test_cap_is_checked_before_any_distance_work(
+            self, n, code, source, tmp_path, monkeypatch, capsys):
+        passes = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda g, v: passes.append(v) or bfs(g, v))
+        path = tmp_path / f"cycle{n}.json"
+        path.write_text(build_cycle(n).to_json(), encoding="utf-8")
+        argv = ["graph", "--graph-file", str(path)]
+        if source == "flag":
+            argv += ["--size-cap", "10"]
+        else:
+            monkeypatch.setenv("DPCHANNEL_SIZE_CAP", "10")
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert passes == []
+            assert (f"error: graph file {path} has 11 vertices, above the cap of 10"
+                    in captured.err)
+        else:
+            assert "vertices: 10" in captured.out
+
+
+# Every option of every subcommand; each is read by some invocation of it.
+GRAPH_SOURCE = {"--family", "--graph-file", "--size-cap"}
+OUTPUT = {"--format", "--output"}
+PRIVACY = {"--ratio", "--epsilon"}
+SUBCOMMAND_OPTIONS = {
+    "graph": OUTPUT | GRAPH_SOURCE | {"--effort"},
+    "analyze": OUTPUT | GRAPH_SOURCE | PRIVACY | {"--matrix", "--prior", "--tolerance"},
+    "transform": OUTPUT | GRAPH_SOURCE | {"--matrix", "--stage", "--effort"},
+    "synth": OUTPUT | GRAPH_SOURCE | PRIVACY,
+    "compare": OUTPUT | {"--matrix-a", "--matrix-b", "--prior"},
+    "oracle": OUTPUT | GRAPH_SOURCE | PRIVACY | {"--method", "--seed", "--iters", "--step",
+                                                 "--count"},
+}
+
+
+class TestOptionSurface:
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        subs = self.subparsers()
+        assert set(subs) == set(SUBCOMMAND_OPTIONS)
+        slots = 0
+        for name, sub in subs.items():
+            options = [s for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                       for s in a.option_strings]
+            assert sorted(options) == sorted(SUBCOMMAND_OPTIONS[name]), name
+            slots += len(options)
+            fmt = next(a for a in sub._actions if "--format" in a.option_strings)
+            expected = ("text", "json", "csv") if name == "compare" else ("text", "json")
+            assert tuple(fmt.choices) == expected, name
+        assert slots == 48
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--family", "clique:3", "--ratio", "1/2", "--effort", "5"],
+        ["graph", "--family", "clique:3", "--format", "csv"],
+        ["compare", "--matrix-a", "fixture:geometric", "--matrix-b", "fixture:geometric",
+         "--size-cap", "5"],
+    ], ids=["synth-effort", "graph-csv", "compare-size-cap"])
+    def test_an_option_the_subcommand_would_ignore_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestAnalyzeCommand:
     def test_synthesised_matrix_attains_the_bound(self, m2_csv, capsys):
         assert main(["analyze", "--family", "clique:6", "--matrix", m2_csv,
@@ -132,6 +211,13 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "eps_star: inf (max adjacent ratio inf, witness rows 1/0 column 1)" in out
         assert "satisfies declared epsilon: no" in out
+
+    def test_a_prior_label_given_twice_is_refused(self, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("A,0\nA,1/2\nB,1/4\nC,1/4\nD,0\nE,0\nF,0\n", encoding="utf-8")
+        assert main(["analyze", "--family", "clique:6", "--matrix", "fixture:geometric",
+                     "--ratio", "1/2", "--prior", str(prior)]) == 1
+        assert "error: prior label 'A' given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-0.1", "-1e-12", "nan"])
     def test_negative_tolerance_is_refused(self, value, capsys):
@@ -255,6 +341,22 @@ class TestOracleCommand:
         assert payload["trials"] == 12
         assert Fraction(payload["best_utility"]) <= Fraction(1, 4)  # petersen bound at r=1/2
 
+    def test_hillclimb_on_a_disconnected_graph_starts_uniform(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(Graph(4, {(0, 1), (2, 3)}).to_json(), encoding="utf-8")
+        assert main(["oracle", "--graph-file", str(g), "--ratio", "1/2",
+                     "--method", "hillclimb", "--iters", "200", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trials"] == 200
+        assert Fraction(payload["best_utility"]) >= Fraction(1, 4)
+
+    def test_hillclimb_on_a_one_column_channel(self, capsys):
+        assert main(["oracle", "--family", "path:1", "--ratio", "2/3",
+                     "--method", "hillclimb", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["best_utility"] == "1/1"
+        assert payload["trials"] == 0
+
     def test_seeded_runs_are_byte_identical(self, capsys):
         args = ["oracle", "--family", "cycle:4", "--ratio", "1/2",
                 "--method", "random", "--count", "5", "--seed", "11",
@@ -317,6 +419,28 @@ class TestGoldenOutput:
         assert main(list(argv) + ["--format", "json"]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+    # sha256 captured while canonicalize still re-verified its own certificate
+    @pytest.mark.parametrize("n, source, symmetry, digest", [
+        (10, ["--family", "petersen"], "distance_regular",
+         "25edfd0e507d7168dbcb1761d8fa2ae2a6a826f5998539497139d90a9fe452aa"),
+        (12, ["--graph-file", "c12.json"], "vt_plus",
+         "c7c722222970f09fa2518f5ce28c6a1804f2a6acc546576c91d09c96826642d5"),
+    ], ids=["petersen", "circulant-c12"])
+    def test_transform_json_is_byte_identical(self, n, source, symmetry, digest,
+                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        circulant = Graph(12, {(i, (i + d) % 12) for i in range(12) for d in (1, 2)})
+        (tmp_path / "c12.json").write_text(circulant.to_json(), encoding="utf-8")
+        rows = []
+        for i in range(n):
+            weights = [1 + (3 * i + 5 * j) % 7 for j in range(n + 1)]
+            rows.append([Fraction(w, sum(weights)) for w in weights])
+        (tmp_path / "m.csv").write_text(ChannelMatrix.from_rows(rows).to_csv(), encoding="utf-8")
+        assert main(["transform", *source, "--matrix", "m.csv", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["symmetry"] == symmetry
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("command", ["synth", "transform"])
     def test_json_mode_renders_no_text(self, command, monkeypatch, capsys):

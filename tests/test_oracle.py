@@ -8,6 +8,7 @@ import pytest
 
 from dpchannel import (
     ChannelMatrix,
+    Graph,
     PrivacyParameter,
     Prior,
     SizeCapError,
@@ -116,6 +117,38 @@ class TestHillclimb:
         g = build_family("path:3")
         report = hillclimb_utility(g, HALF, iters=300, seed=0)
         assert report.best_utility >= Fraction(1, 3)
+
+    def test_falls_back_to_uniform_start_on_a_disconnected_graph(self):
+        g = Graph(4, {(0, 1), (2, 3)})
+        uniform = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
+        report = hillclimb_utility(g, HALF, iters=300, seed=0)
+        assert report == hillclimb_utility(g, HALF, iters=300, seed=0, start=uniform)
+        assert report.best_utility >= Fraction(1, 4)
+
+    def test_one_column_start_is_returned_without_moves(self):
+        report = hillclimb_utility(build_family("path:1"), PrivacyParameter.from_ratio(
+            Fraction(2, 3)), iters=50, seed=0)
+        assert report.best_utility == 1
+        assert report.trials == 0
+        assert report.best_matrix == ChannelMatrix.identity(1)
+
+    # sha256 of "trials utility matrix-json", captured before one-column
+    # starts were special-cased: the draw sequence for two or more columns
+    # must not change.
+    @pytest.mark.parametrize("graph, kwargs, digest", [
+        ("clique:2", {"iters": 4000, "seed": 7,
+                      "start": ChannelMatrix.constant_rows([Fraction(1, 2)] * 2, 2)},
+         "3ae58307227da5e7a7d3d98fef933b84113f4f9118c946c433823ee63556919e"),
+        ("path:4", {"iters": 3000, "seed": 4},
+         "3432dcbb8637517b8afb7caec34c1077054b7780d41a507213b8ee01e4b585be"),
+        ("cycle:5", {"iters": 1000, "seed": 2,
+                     "start": ChannelMatrix.constant_rows([Fraction(1, 6)] * 6, 5)},
+         "5c066faac4744178b7d87abd3ae6471b8a076eab62d91900bd977bd172fcb00b"),
+    ], ids=["clique2-uniform", "path4-fallback", "cycle5-six-columns"])
+    def test_seeded_reports_are_pinned(self, graph, kwargs, digest):
+        report = hillclimb_utility(build_family(graph), HALF, **kwargs)
+        text = f"{report.trials} {report.best_utility} {report.best_matrix.to_json()}"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestRandomSample:

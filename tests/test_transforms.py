@@ -29,6 +29,7 @@ from dpchannel import (
     to_diagonal_form,
     vt_plus_certificate,
 )
+from dpchannel import graphs, transforms
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
@@ -172,6 +173,47 @@ class TestSymmetrizeErrors:
         g = Graph(5, {(0, 1), (1, 2), (2, 0), (3, 4)})
         with pytest.raises(SymmetryRequiredError):
             canonicalize(ChannelMatrix.identity(5), g)
+
+
+class TestCertifiesOnce:
+    """canonicalize averages on the certificate it obtained, without re-checking it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"is_distance_regular": 0, "verify_family": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (graphs, transforms):
+            for name in counts:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    def test_distance_regular_route(self, calls):
+        out = canonicalize(ChannelMatrix.identity(10), build_family("petersen"))
+        assert out.symmetry == "distance_regular"
+        assert calls == {"is_distance_regular": 1, "verify_family": 0}
+
+    def test_vt_plus_route(self, calls):
+        circulant = Graph(12, {(i, (i + d) % 12) for i in range(12) for d in (1, 2)})
+        out = canonicalize(ChannelMatrix.identity(12), circulant)
+        assert out.symmetry == "vt_plus"
+        assert calls == {"is_distance_regular": 1, "verify_family": 1}
+
+    def test_public_steps_still_verify_what_they_are_handed(self, calls):
+        petersen = build_family("petersen")
+        array = is_distance_regular(petersen)   # the package binding, not counted
+        cf = to_diagonal_form(ChannelMatrix.identity(10), petersen)
+        symmetrize_distance_regular(cf, petersen, array)
+        cycle = build_cycle(6)
+        family = vt_plus_certificate(cycle).family
+        calls["verify_family"] = 0
+        symmetrize_vt_plus(to_diagonal_form(ChannelMatrix.identity(6), cycle), cycle, family)
+        assert calls == {"is_distance_regular": 1, "verify_family": 1}
 
 
 PIPELINE_GRAPHS = ["clique:6", "cycle:6", "petersen", "hamming:2,3"]
