@@ -118,11 +118,7 @@ def hamming_identity_check(u, v, pp):
     """Exactly verify sum_d C(u,d) (v-1)^d r^d == ((v-1) r + 1)^u."""
     if u < 1 or v < 2:
         raise ValueError("need u >= 1 participants and v >= 2 values")
-    r = pp.r
-    lhs = sum((math.comb(u, d) * (v - 1) ** d * r ** d for d in range(u + 1)),
-              Fraction(0))
-    rhs = ((v - 1) * r + 1) ** u
-    return lhs == rhs
+    return profile_core(hamming_profile(u, v), pp) == ((v - 1) * pp.r + 1) ** u
 
 
 def hamming_profile(u, v):

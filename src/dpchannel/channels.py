@@ -10,9 +10,10 @@ A :class:`ChannelMatrix` stores each row as integer numerators over one
 positive per-row denominator, the lcm of the row's entry denominators.  A
 row is stochastic iff its numerators are non-negative and sum to its
 denominator, and entries of two rows compare by integer cross-multiplication,
-so validation, the audit, column maxima and posterior success never divide.
+so validation, the audit, column maxima and posterior success never divide;
+the transforms, the oracle searches and ``utility`` use ``scaled_rows``.
 ``Fraction`` values appear at the API edge (``entries``, ``entry``,
-``column`` and the results).
+``column``, the results) and in the random sampler's construction.
 
 The privacy audit follows the discrete ratio formulation: a matrix satisfies
 the epsilon constraint for a graph iff every pair of adjacent rows keeps
@@ -26,6 +27,7 @@ import io
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -152,7 +154,6 @@ class ChannelMatrix:
     """
 
     def __init__(self, entries, row_labels=None, col_labels=None, *, denominators=None):
-        values = None
         if denominators is None:
             values = tuple(tuple(as_fraction(x) for x in row) for row in entries)
             dens = tuple(math.lcm(*(x.denominator for x in row)) for row in values)
@@ -173,7 +174,7 @@ class ChannelMatrix:
                 raise ValueError("probabilities must be non-negative")
             if sum(row) != den:
                 raise ValueError("every row must sum exactly to 1")
-        if values is None:
+        if denominators is not None:
             # Reduce to the lcm form; a row's sum is its denominator, so the
             # gcd of its numerators divides the denominator too.
             gcds = [math.gcd(*row) for row in nums]
@@ -181,8 +182,6 @@ class ChannelMatrix:
                 nums = tuple(row if g == 1 else tuple(x // g for x in row)
                              for row, g in zip(nums, gcds))
                 dens = tuple(den // g for den, g in zip(dens, gcds))
-        else:
-            self.__dict__["entries"] = values     # the cached_property's slot
         rl = tuple(str(x) for x in row_labels) if row_labels is not None \
             else tuple(str(i) for i in range(len(nums)))
         cl = tuple(str(x) for x in col_labels) if col_labels is not None \
@@ -234,16 +233,21 @@ class ChannelMatrix:
     def column(self, j):
         return tuple(Fraction(row[j], den) for row, den in zip(self.numerators, self.denominators))
 
-    def _weighted_column_maxima(self, weights):
-        """Column maxima of ``weights[i] * M[i][j]`` over one denominator.
-
-        Returns ``(tops, den)`` with ``max_i weights[i] * M[i][j] ==
-        tops[j] / den`` for every column j.  Each row is scaled to ``den``
-        by one integer, so the maxima are taken over integers.
-        """
+    def _row_factors(self, weights):
+        """``(f, D)``: integers with ``weights[i] / denominators[i] == f[i] / D``."""
         scaled = [Fraction(w, den) for w, den in zip(weights, self.denominators)]
         den = math.lcm(*(s.denominator for s in scaled))
-        factors = [s.numerator * (den // s.denominator) for s in scaled]
+        return [s.numerator * (den // s.denominator) for s in scaled], den
+
+    def scaled_rows(self, weights=None):
+        """Integers ``(rows, den)`` with ``weights[i] * M[i][j] == rows[i][j] / den``."""
+        factors, den = self._row_factors(weights or [1] * self.rows)
+        return [[x * f for x in row] for row, f in zip(self.numerators, factors)], den
+
+    def _weighted_column_maxima(self, weights):
+        """``(tops, den)`` with ``max_i weights[i] * M[i][j] == tops[j] / den``,
+        streamed over the numerators without building the scaled rows."""
+        factors, den = self._row_factors(weights)
         return [max(map(operator.mul, col, factors)) for col in zip(*self.numerators)], den
 
     @cached_property
@@ -257,7 +261,13 @@ class ChannelMatrix:
 
     @classmethod
     def from_rows(cls, rows, row_labels=None, col_labels=None):
-        return cls(tuple(tuple(r) for r in rows), row_labels, col_labels)
+        """Build from entry values; a row or column label given twice is refused."""
+        matrix = cls(rows, row_labels, col_labels)
+        for kind, labels in (("row", matrix.row_labels), ("column", matrix.col_labels)):
+            if len(set(labels)) < len(labels):
+                label = next(x for x, k in Counter(labels).items() if k > 1)
+                raise ValueError(f"{kind} label {label!r} given twice")
+        return matrix
 
     @classmethod
     def identity(cls, n, row_labels=None, col_labels=None):

@@ -59,7 +59,10 @@ def _size_cap(args):
     if args.size_cap is not None:
         return args.size_cap
     env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
+    try:
+        return positive_int(env) if env else DEFAULT_SIZE_CAP
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {env!r}") from None
 
 
 def _load_graph(args):
@@ -125,6 +128,13 @@ def non_negative_float(text):
     value = float(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
@@ -401,7 +411,7 @@ def _add_graph_source(p):
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--family", help="clique:N | cycle:N | path:N | petersen | hamming:U,V")
     grp.add_argument("--graph-file", help="graph JSON path")
-    p.add_argument("--size-cap", type=int, default=None,
+    p.add_argument("--size-cap", type=positive_int, default=None,
                    help=f"vertex cap for either graph source (or ${SIZE_CAP_ENV})")
 
 
@@ -470,12 +480,16 @@ def build_parser():
     p.add_argument("--count", type=int, default=20, help="sample count for --method random")
     p.set_defaults(func=cmd_oracle)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:   # reported with the chosen subcommand's usage
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except Exception as exc:  # surface as a clean one-line error, nonzero exit

@@ -78,6 +78,9 @@ class Graph:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.n:
                 raise ValueError("label count must equal vertex count")
+            if len(set(labels)) < self.n:
+                label = next(x for x, k in collections.Counter(labels).items() if k > 1)
+                raise ValueError(f"vertex label {label!r} given twice")
             object.__setattr__(self, "labels", labels)
 
     @cached_property
@@ -337,6 +340,8 @@ def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
     if name == "petersen":
         if arg:
             raise ValueError("the petersen family takes no parameters")
+        if size_cap < 10:
+            raise SizeCapError(f"petersen has 10 vertices, above the cap of {size_cap}")
         return build_petersen()
     sized = {"clique": build_clique, "cycle": build_cycle, "path": build_path}
     if name in sized:

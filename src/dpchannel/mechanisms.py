@@ -20,9 +20,11 @@ an identity the tests cross-check module against module.
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import profile_core
 from .channels import (
     ChannelMatrix,
     PrivacyParameter,
@@ -131,8 +133,14 @@ class MechanismBundle:
         return cls.from_dict(json.loads(text))
 
 
-def _distance_kernel(graph, pp):
-    """The c * r^distance channel, with its normaliser and profile."""
+def optimal_mechanism(graph, pp):
+    """Synthesise the maximum-utility channel at the requested privacy level.
+
+    The channel is the distance kernel c * r^distance.  It is exactly at the
+    privacy boundary (every adjacent ratio is e^epsilon when the graph has
+    an edge) and its uniform-prior binary utility equals the normaliser c,
+    which is the utility ceiling for the graph's profile.
+    """
     if not graph.is_connected:
         raise DisconnectedGraphError("mechanism synthesis needs a connected graph")
     base_profile = common_profile(graph)
@@ -143,37 +151,22 @@ def _distance_kernel(graph, pp):
             "distance profile differs between vertices "
             f"{graph.label(0)} {counts[0]} and {graph.label(base)} {counts[base]}; "
             "a shared normaliser cannot make the distance kernel row-stochastic")
-    # With r = p/q and diameter D, c * r^d = p^d q^(D-d) / sum_d n_d p^d q^(D-d):
-    # every row shares that integer denominator.
+    # With r = p/q and diameter D, c * r^d = p^d q^(D-d) / (core * q^D), and
+    # core * q^D = sum_d n_d p^d q^(D-d) is the integer every row shares.
+    core = profile_core(base_profile, pp)
     p, q = pp.r.numerator, pp.r.denominator
     dm = graph.distance_matrix
     top = dm.diameter
     weights = [p ** d * q ** (top - d) for d in range(top + 1)]
-    total = sum(n_d * w for n_d, w in zip(base_profile.counts, weights))
-    c = Fraction(q ** top, total)
-    numerators = [[weights[d] for d in row] for row in dm.dist]
-    labels = graph.labels or tuple(str(i) for i in range(graph.n))
-    matrix = ChannelMatrix(numerators, labels, labels, denominators=[total] * graph.n)
-    return matrix, c, base_profile
-
-
-def optimal_mechanism(graph, pp):
-    """Synthesise the maximum-utility channel at the requested privacy level.
-
-    The result is exactly at the privacy boundary (every adjacent ratio is
-    e^epsilon when the graph has an edge) and its uniform-prior binary
-    utility equals the normaliser c, which is the utility ceiling for the
-    graph's profile.
-    """
-    matrix, c, _ = _distance_kernel(graph, pp)
-    return MechanismBundle(graph, matrix, pp, c)
+    matrix = ChannelMatrix([[weights[d] for d in row] for row in dm.dist], graph.labels,
+                           graph.labels, denominators=[int(core * q ** top)] * graph.n)
+    return MechanismBundle(graph, matrix, pp, 1 / core)
 
 
 def tight_leakage_matrix(graph, pp):
     """The same distance kernel, viewed as a worst-case channel on the
     secret domain: it meets the posterior-entropy floor with equality."""
-    matrix, _, _ = _distance_kernel(graph, pp)
-    return matrix
+    return optimal_mechanism(graph, pp).matrix
 
 
 def utility(prior, matrix, gain=None, guess=None):
@@ -197,25 +190,16 @@ def utility(prior, matrix, gain=None, guess=None):
         if any(not 0 <= y < n for y in guess.mapping):
             raise ValueError("guess map targets unknown answers")
 
+    if gain.kind == "binary" and guess.is_optimal:
+        return posterior_success(prior, matrix)
+    joint, den = matrix.scaled_rows(prior.probs)     # p(y) M[y][z] == joint[y][z] / den
     if gain.kind == "binary":
-        if guess.is_optimal:
-            return posterior_success(prior, matrix)
-        return sum(
-            (matrix.entries[y][z] * prior.probs[y]
-             for z, y in enumerate(guess.mapping)),
-            Fraction(0))
-
-    total = Fraction(0)
-    for z in range(m):
-        joint = [prior.probs[y] * matrix.entries[y][z] for y in range(n)]
-        if guess.is_optimal:
-            total += max(
-                sum((joint[y] * gain.table[cand][y] for y in range(n)), Fraction(0))
-                for cand in range(n))
-        else:
-            cand = guess.mapping[z]
-            total += sum((joint[y] * gain.table[cand][y] for y in range(n)), Fraction(0))
-    return total
+        return Fraction(sum(joint[y][z] for z, y in enumerate(guess.mapping)), den)
+    total = 0
+    for z, col in enumerate(zip(*joint)):
+        cands = range(n) if guess.is_optimal else (guess.mapping[z],)
+        total += max(sum(map(operator.mul, col, gain.table[cand])) for cand in cands)
+    return Fraction(total, den)
 
 
 def compose_oblivious(secret_graph, answer_map, bundle):
@@ -234,9 +218,8 @@ def compose_oblivious(secret_graph, answer_map, bundle):
     if any(not 0 <= y < bundle.matrix.rows for y in f):
         raise ValueError("answer map image is not covered by the randomiser's rows")
     matrix = bundle.matrix
-    labels = secret_graph.labels or tuple(str(i) for i in range(secret_graph.n))
-    composite = ChannelMatrix([matrix.numerators[y] for y in f], labels, matrix.col_labels,
-                              denominators=[matrix.denominators[y] for y in f])
+    composite = ChannelMatrix([matrix.numerators[y] for y in f], secret_graph.labels,
+                              matrix.col_labels, denominators=[matrix.denominators[y] for y in f])
     induced = {(f[i], f[j]) for i, j in secret_graph.edge_list if f[i] != f[j]}
     answer_graph = Graph(bundle.graph.n, induced, bundle.graph.labels)
     return composite, answer_graph

@@ -121,13 +121,8 @@ def grid_search_optimal(graph, pp, step):
     backtrack(0)
     if best_assign is None:
         raise RuntimeError("grid search found no feasible matrix, which cannot happen")
-    rows = [[Fraction(cands[c][j], q) for j in range(n)] for c in best_assign]
-    matrix = ChannelMatrix.from_rows(rows)
+    matrix = ChannelMatrix([cands[c] for c in best_assign], denominators=[q] * n)
     return SearchReport("grid", 0, trials, Fraction(best_total, q * n), matrix)
-
-
-def _uniform_start(n):
-    return ChannelMatrix.from_rows([[Fraction(1, n)] * n for _ in range(n)])
 
 
 def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
@@ -144,27 +139,28 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     disconnected).  A one-column start has no move and is returned as is,
     with zero trials.
     """
+    n = graph.n
     if start is None:
         try:
             start = optimal_mechanism(graph, pp).matrix
         except (BaseDependentProfileError, DisconnectedGraphError):
-            start = _uniform_start(graph.n)
-    if start.rows != graph.n:
+            start = ChannelMatrix([[1] * n] * n, denominators=[n] * n)
+    if start.rows != n:
         raise ValueError("start matrix rows must match the graph's vertex count")
     rng = random.Random(seed)
-    n, m = start.rows, start.cols
-    entries = [list(row) for row in start.entries]
-    colmax = [max(entries[i][j] for i in range(n)) for j in range(m)]
-    success = sum(colmax, Fraction(0))
-    best_success = success
+    m = start.cols
+    rows, den = start.scaled_rows()
+    entries = [[256 * x for x in row] for row in rows]     # over 256 * den; steps are k/256
+    colmax = [max(col) for col in zip(*entries)]
+    best_success = success = sum(colmax)
     best_entries = [row.copy() for row in entries]
     adj = graph.adjacency
-    r = pp.r
+    p, q = pp.r.numerator, pp.r.denominator
 
     def feasible(i, j, value):
         for h in adj[i]:
             other = entries[h][j]
-            if r * value > other or r * other > value:
+            if p * value > q * other or p * other > q * value:
                 return False
         return True
 
@@ -175,17 +171,15 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
         k = rng.randrange(m - 1)
         if k >= j:
             k += 1
-        delta = Fraction(rng.randint(1, 16), 256)
+        delta = rng.randint(1, 16) * den
         if entries[i][j] < delta:
             continue
         new_j = entries[i][j] - delta
         new_k = entries[i][k] + delta
         if not (feasible(i, j, new_j) and feasible(i, k, new_k)):
             continue
-        reduced_j = max(new_j, *(entries[h][j] for h in range(n) if h != i)) \
-            if n > 1 else new_j
-        reduced_k = max(new_k, *(entries[h][k] for h in range(n) if h != i)) \
-            if n > 1 else new_k
+        reduced_j = max([new_j] + [entries[h][j] for h in range(n) if h != i])
+        reduced_k = max([new_k] + [entries[h][k] for h in range(n) if h != i])
         new_success = success - colmax[j] - colmax[k] + reduced_j + reduced_k
         if new_success < success:
             continue
@@ -198,8 +192,9 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
             best_success = success
             best_entries = [row.copy() for row in entries]
 
-    matrix = ChannelMatrix.from_rows(best_entries, start.row_labels, start.col_labels)
-    return SearchReport("hillclimb", seed, steps, best_success / n, matrix)
+    matrix = ChannelMatrix(best_entries, start.row_labels, start.col_labels,
+                           denominators=[256 * den] * n)
+    return SearchReport("hillclimb", seed, steps, Fraction(best_success, 256 * den * n), matrix)
 
 
 def _contraction_towards_uniform(entries, graph, r, m):

@@ -21,8 +21,8 @@ Both guarantees are exact rational identities, re-verified by the test
 suite on seeded random privacy-feasible channels rather than trusted.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .channels import ChannelMatrix
 from .graphs import (
@@ -63,22 +63,18 @@ class CanonicalForm:
         n = m.rows
         if m.cols < n:
             raise ValueError("canonical forms carry at least as many columns as rows")
-        for i in range(n):
-            if m.entries[i][i] != m.column_maxima[i]:
-                raise ValueError("diagonal entries must carry their column maximum")
-        for j in range(n, m.cols):
-            if any(m.entries[i][j] != 0 for i in range(n)):
-                raise ValueError("columns beyond the square block must be zero")
+        rows, _ = m.scaled_rows()
+        cols = list(zip(*rows))
+        if any(cols[i][i] != max(cols[i]) for i in range(n)):
+            raise ValueError("diagonal entries must carry their column maximum")
+        if any(map(any, cols[n:])):
+            raise ValueError("columns beyond the square block must be zero")
         if self.stage == STAGE_SYMMETRIC:
-            diag = {m.entries[i][i] for i in range(n)}
+            diag = {rows[i][i] for i in range(n)}
             if len(diag) != 1:
                 raise ValueError("symmetric stage requires equal diagonal entries")
-            if max(m.column_maxima) != next(iter(diag)):
+            if max(map(max, cols)) != next(iter(diag)):
                 raise ValueError("symmetric stage diagonal must be the global maximum")
-
-    @property
-    def global_max(self):
-        return max(self.matrix.column_maxima)
 
 
 def to_diagonal_form(matrix, graph):
@@ -94,17 +90,16 @@ def to_diagonal_form(matrix, graph):
         raise ValueError("matrix rows must match the graph's vertex count")
     if n > m:
         raise ValueError("diagonalisation needs at least as many outputs as inputs")
-    assign = []
-    for j in range(matrix.cols):
-        col = matrix.column(j)
-        assign.append(col.index(max(col)))
-    entries = [[Fraction(0)] * m for _ in range(n)]
-    for j, target in enumerate(assign):
-        for h in range(n):
-            entries[h][target] += matrix.entries[h][j]
+    rows, _ = matrix.scaled_rows()
+    assign = tuple(col.index(max(col)) for col in zip(*rows))
+    nums = [[0] * m for _ in range(n)]
+    for row, target in zip(matrix.numerators, nums):
+        for j, x in enumerate(row):
+            target[assign[j]] += x
     col_labels = list(matrix.row_labels) + [f"z{k}" for k in range(n, m)]
-    merged = ChannelMatrix.from_rows(entries, matrix.row_labels, col_labels)
-    return CanonicalForm(merged, STAGE_DIAGONAL, merge_map=tuple(assign))
+    merged = ChannelMatrix(nums, matrix.row_labels, col_labels,
+                           denominators=matrix.denominators)
+    return CanonicalForm(merged, STAGE_DIAGONAL, merge_map=assign)
 
 
 def _require_diagonal(cf):
@@ -129,19 +124,21 @@ def symmetrize_distance_regular(cf, graph, array):
 
 
 def _average_distance_classes(cf, graph):
+    # Class d's mean is sums[d] / (den * n * counts[d]); over the one row
+    # denominator den * n * lcm(counts) its numerator is an integer.
     n, m = graph.n, cf.matrix.cols
     dm = graph.distance_matrix
     counts = graph.profile_counts[0]
-    sums = [Fraction(0)] * (dm.diameter + 1)
-    old = cf.matrix.entries
-    for h in range(n):
-        drow = dm.dist[h]
-        for l in range(n):
-            sums[drow[l]] += old[h][l]
-    avg = [sums[d] / (n * counts[d]) for d in range(dm.diameter + 1)]
-    entries = [[avg[dm.d(i, j)] if j < n else Fraction(0) for j in range(m)]
-               for i in range(n)]
-    matrix = ChannelMatrix.from_rows(entries, cf.matrix.row_labels, cf.matrix.col_labels)
+    rows, den = cf.matrix.scaled_rows()
+    sums = [0] * len(counts)
+    for drow, row in zip(dm.dist, rows):
+        for d, x in zip(drow, row):
+            sums[d] += x
+    scale = math.lcm(*counts)
+    avg = [s * (scale // k) for s, k in zip(sums, counts)]
+    nums = [[avg[d] for d in drow] + [0] * (m - n) for drow in dm.dist]
+    matrix = ChannelMatrix(nums, cf.matrix.row_labels, cf.matrix.col_labels,
+                           denominators=[den * n * scale] * n)
     return CanonicalForm(matrix, STAGE_SYMMETRIC, cf.merge_map, "distance_regular")
 
 
@@ -161,17 +158,16 @@ def symmetrize_vt_plus(cf, graph, family):
 
 def _average_relabelings(cf, graph, family):
     n, m = graph.n, cf.matrix.cols
-    old = cf.matrix.entries
-    entries = [[Fraction(0)] * m for _ in range(n)]
+    rows, den = cf.matrix.scaled_rows()
+    nums = [[0] * m for _ in range(n)]
     for perm in family.perms:
         for i in range(n):
-            row = old[perm[i]]
-            target = entries[i]
+            row = rows[perm[i]]
+            target = nums[i]
             for j in range(n):
                 target[j] += row[perm[j]]
-    frac_n = Fraction(1, n)
-    entries = [[x * frac_n for x in row] for row in entries]
-    matrix = ChannelMatrix.from_rows(entries, cf.matrix.row_labels, cf.matrix.col_labels)
+    matrix = ChannelMatrix(nums, cf.matrix.row_labels, cf.matrix.col_labels,
+                           denominators=[den * n] * n)
     return CanonicalForm(matrix, STAGE_SYMMETRIC, cf.merge_map, "vt_plus")
 
 

@@ -145,6 +145,16 @@ class TestChannelMatrix:
         m = truncated_geometric_fixture()
         assert ChannelMatrix.from_json(m.to_json()) == m
 
+    def test_csv_refuses_a_row_label_given_twice(self):
+        # with the prior A,1/4 / B,3/4 this used to fail as "prior must sum exactly to 1"
+        with pytest.raises(ValueError, match="^row label 'A' given twice$"):
+            ChannelMatrix.from_csv(",a,b\nA,1/2,1/2\nA,1/4,3/4\nB,1,0\n")
+
+    def test_dict_refuses_a_column_label_given_twice(self):
+        with pytest.raises(ValueError, match="^column label 'u' given twice$"):
+            ChannelMatrix.from_dict({"entries": [["1/2", "1/2"], ["1/3", "2/3"]],
+                                     "col_labels": ["u", "u"]})
+
 
 class TestIntegerRows:
     def test_integer_rows_equal_and_hash_like_fraction_rows(self):
@@ -172,6 +182,20 @@ class TestIntegerRows:
         again = ChannelMatrix.from_rows(m.entries, m.row_labels, m.col_labels)
         assert again == m and hash(again) == hash(m)
         assert m.with_labels(row_labels=tuple("abcdefghi")) != m
+
+    def test_scaled_rows_put_every_entry_over_one_denominator(self):
+        m = ChannelMatrix.from_rows([["1/6", "1/4", "7/12"], ["0", "1", "0"]])
+        assert m.scaled_rows() == ([[2, 3, 7], [0, 12, 0]], 12)
+        prior = (Fraction(2, 3), Fraction(1, 3))
+        rows, den = m.scaled_rows(prior)
+        assert all(Fraction(rows[i][j], den) == prior[i] * m.entry(i, j)
+                   for i in range(m.rows) for j in range(m.cols))
+        assert (rows, den) == ([[2, 3, 7], [0, 6, 0]], 18)
+
+    def test_entries_are_always_derived_from_the_integer_rows(self):
+        m = ChannelMatrix.from_rows([["0.5", "0.5"], ["1/3", "2/3"]])
+        assert "entries" not in vars(m)
+        assert m.entries == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))
 
     def test_matrices_are_immutable(self):
         m = ChannelMatrix.identity(2)

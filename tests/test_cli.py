@@ -106,6 +106,29 @@ class TestGraphFileSizeCap:
         else:
             assert "vertices: 10" in captured.out
 
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_the_cap_flag_takes_positive_integers_only(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--family", "clique:4", "--size-cap", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dpchannel graph ")
+        assert "argument --size-cap:" in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_a_bad_cap_variable_is_named_in_the_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DPCHANNEL_SIZE_CAP", value)
+        assert main(["graph", "--family", "petersen"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: DPCHANNEL_SIZE_CAP must be a positive integer, got {value!r}\n")
+
+    def test_petersen_above_the_cap_is_refused(self, capsys):
+        assert main(["graph", "--family", "petersen", "--size-cap", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: petersen has 10 vertices, above the cap of 5\n"
+
 
 # Every option of every subcommand; each is read by some invocation of it.
 GRAPH_SOURCE = {"--family", "--graph-file", "--size-cap"}
@@ -154,7 +177,10 @@ class TestOptionSurface:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: dpchannel {argv[0]} ")
+        assert f"dpchannel {argv[0]}: error: " in captured.err
 
 
 class TestAnalyzeCommand:
@@ -186,6 +212,21 @@ class TestAnalyzeCommand:
     def test_dimension_mismatch_is_an_error(self, m2_csv, capsys):
         assert main(["analyze", "--family", "clique:5", "--matrix", m2_csv,
                      "--ratio", "1/2"]) == 1
+
+    def test_a_repeated_row_label_is_named(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a,b\nA,1/2,1/2\nA,1/4,3/4\nB,1,0\n", encoding="utf-8")
+        prior = tmp_path / "prior.csv"
+        prior.write_text("A,1/4\nB,3/4\n", encoding="utf-8")
+        assert main(["analyze", "--family", "clique:3", "--matrix", str(matrix),
+                     "--ratio", "1/2", "--prior", str(prior)]) == 1
+        assert capsys.readouterr().err == "error: row label 'A' given twice\n"
+
+    def test_a_repeated_graph_label_is_named(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 2, "edges": [[0, 1]], "labels": ["a", "a"]}', encoding="utf-8")
+        assert main(["synth", "--graph-file", str(graph), "--ratio", "1/2"]) == 1
+        assert capsys.readouterr().err == "error: vertex label 'a' given twice\n"
 
     def test_requires_exactly_one_privacy_flag(self, m2_csv):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Graph construction, distances and symmetry classification."""
 
 import itertools
+import re
 from collections import deque
 
 import pytest
@@ -82,12 +83,14 @@ class TestConstructors:
             build_hamming(13, 2)
         assert build_hamming(13, 2, size_cap=10_000).n == 8192
 
-    @pytest.mark.parametrize("spec", ["clique:11", "cycle:11", "path:11"])
+    @pytest.mark.parametrize("spec", ["clique:11", "cycle:11", "path:11", "petersen"])
     def test_sized_families_respect_the_cap(self, spec):
-        name = spec.partition(":")[0]
-        with pytest.raises(SizeCapError, match=rf"^{name}\(11\) has 11 vertices, above the cap of 10$"):
-            build_family(spec, size_cap=10)
-        assert build_family(spec.replace("11", "10"), size_cap=10).n == 10
+        n = build_family(spec).n
+        what = re.escape(spec.replace(":", "(") + ")" if ":" in spec else spec)
+        message = rf"^{what} has {n} vertices, above the cap of {n - 1}$"
+        with pytest.raises(SizeCapError, match=message):
+            build_family(spec, size_cap=n - 1)
+        assert build_family(spec, size_cap=n).n == n
 
     @pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (-1, 3)])
     def test_hamming_argument_errors(self, u, v):
@@ -139,6 +142,12 @@ class TestConstructors:
             Graph(3, {(0, 5)})
         with pytest.raises(ValueError):
             Graph(2, {(0, 1)}, labels=("a",))
+
+    def test_a_vertex_label_given_twice_is_refused(self):
+        with pytest.raises(ValueError, match="^vertex label 'a' given twice$"):
+            Graph(3, {(0, 1), (1, 2)}, labels=("a", "b", "a"))
+        with pytest.raises(ValueError, match="^vertex label 'a' given twice$"):
+            Graph.from_json('{"n": 2, "edges": [[0, 1]], "labels": ["a", "a"]}')
 
     def test_graph_json_roundtrip(self):
         g = build_hamming(2, 2)
