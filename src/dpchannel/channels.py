@@ -11,9 +11,9 @@ positive per-row denominator, the lcm of the row's entry denominators.  A
 row is stochastic iff its numerators are non-negative and sum to its
 denominator, and entries of two rows compare by integer cross-multiplication,
 so validation, the audit, column maxima and posterior success never divide;
-the transforms, the oracle searches and ``utility`` use ``scaled_rows``.
-``Fraction`` values appear at the API edge (``entries``, ``entry``,
-``column``, the results) and in the random sampler's construction.
+the transforms, the oracle searches and ``utility`` use ``scaled_rows``,
+and the random sampler builds integer rows directly.  ``Fraction`` values
+appear at the API edge (``entries``, ``entry``, ``column``, the results).
 
 The privacy audit follows the discrete ratio formulation: a matrix satisfies
 the epsilon constraint for a graph iff every pair of adjacent rows keeps

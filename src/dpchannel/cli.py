@@ -416,7 +416,7 @@ def _add_graph_source(p):
 
 
 def _add_effort(p):
-    p.add_argument("--effort", type=int, default=DEFAULT_SEARCH_EFFORT,
+    p.add_argument("--effort", type=positive_int, default=DEFAULT_SEARCH_EFFORT,
                    help="node budget for certificate searches")
 
 
@@ -475,9 +475,10 @@ def build_parser():
     _add_privacy(p)
     p.add_argument("--method", choices=("grid", "hillclimb", "random"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=10_000)
+    p.add_argument("--iters", type=positive_int, default=10_000)
     p.add_argument("--step", default="1/16", help="grid step, must divide 1")
-    p.add_argument("--count", type=int, default=20, help="sample count for --method random")
+    p.add_argument("--count", type=positive_int, default=20,
+                   help="sample count for --method random")
     p.set_defaults(func=cmd_oracle)
 
     for p in sub.choices.values():

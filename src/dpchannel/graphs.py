@@ -159,27 +159,8 @@ class DistanceMatrix:
     dist: tuple
     diameter: int
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.dist)
-        object.__setattr__(self, "dist", rows)
-        n = len(rows)
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError("distance matrix must have a zero diagonal")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("distance matrix must be symmetric")
-
-    @property
-    def n(self):
-        return len(self.dist)
-
     def d(self, i, j):
         return self.dist[i][j]
-
-    @cached_property
-    def is_connected(self):
-        return all(UNREACHABLE not in row for row in self.dist)
 
 
 @dataclass(frozen=True)
@@ -202,10 +183,6 @@ class DistanceProfile:
     @property
     def diameter(self):
         return len(self.counts) - 1
-
-    @property
-    def total(self):
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -630,18 +607,16 @@ def hamming_translation_family(u, v):
 
     Adding a fixed shift tuple modulo v moves every vertex and preserves
     the differ-in-one-coordinate relation, and over all v**u shifts any
-    fixed vertex visits every position exactly once.
+    fixed vertex visits every position exactly once.  A vertex's index is
+    its tuple read in base v, so the family is built one coordinate at a
+    time, each new coordinate the most significant, shifts in tuple order.
     """
-    n = v ** u
-    tuples = list(itertools.product(range(v), repeat=u))
-    index = {t: i for i, t in enumerate(tuples)}
-    perms = []
-    for shift in tuples:
-        perm = [0] * n
-        for idx, tup in enumerate(tuples):
-            moved = tuple((tup[i] + shift[i]) % v for i in range(u))
-            perm[idx] = index[moved]
-        perms.append(tuple(perm))
+    perms = [(0,)]
+    size = 1
+    for _ in range(u):
+        perms = [tuple((d + s) % v * size + x for d in range(v) for x in p)
+                 for s in range(v) for p in perms]
+        size *= v
     return AutomorphismFamily(tuple(perms))
 
 

@@ -197,22 +197,26 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     return SearchReport("hillclimb", seed, steps, Fraction(best_success, 256 * den * n), matrix)
 
 
-def _contraction_towards_uniform(entries, graph, r, m):
+def _contraction_towards_uniform(rows, dens, graph, r, m):
     """Smallest blend with the uniform channel that restores feasibility.
 
     The feasible set is a polytope containing the uniform channel in its
     interior (for r < 1), so for every violated constraint
-    M[i][j] <= M[h][j]/r there is a minimal mixing weight that fixes it;
+    M[a][j] <= M[b][j]/r there is a minimal mixing weight that fixes it;
     the max over violations fixes them all, with equality on the worst.
+    Row i is ``rows[i]`` over ``dens[i]``; with r = p/q the weight of cell
+    (x, y) is E·m / (E·m + (q−p)·D_a·D_b) for excess E = p·D_b·x − q·D_a·y.
     """
-    slack = (1 / r - 1) / m
+    p, q = r.numerator, r.denominator
     needed = Fraction(0)
     for i, h in graph.edge_list:
         for a, b in ((i, h), (h, i)):
-            for j in range(m):
-                excess = entries[a][j] - entries[b][j] / r
+            pb, qa = p * dens[b], q * dens[a]
+            slack = (q - p) * dens[a] * dens[b]
+            for x, y in zip(rows[a], rows[b]):
+                excess = (pb * x - qa * y) * m
                 if excess > 0:
-                    t = excess / (excess + slack)
+                    t = Fraction(excess, excess + slack)
                     if t > needed:
                         needed = t
     return needed
@@ -238,29 +242,24 @@ def random_dp_sample(graph, pp, count, seed):
     reps = [v for v, row in enumerate(dm.dist) if row[:v].count(UNREACHABLE) == v]
     r = pp.r
     max_shift = 2
-    powers = [r ** d for d in range(dm.diameter + max_shift + 1)]
+    top = dm.diameter + max_shift
+    # r^k = p^k/q^k scaled by q^top; each integer row is over its own sum
+    powers = [r.numerator ** k * r.denominator ** (top - k) for k in range(top + 1)]
 
     for _ in range(count):
         m = n + rng.choice((0, 0, 1, 2))
         sources = reps + [rng.randrange(n) for _ in range(m - len(reps))]
         rng.shuffle(sources)
         shifts = [rng.randrange(max_shift + 1) for _ in range(m)]
-        weights = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                d = dm.d(i, sources[j])
-                row.append(Fraction(0) if d == UNREACHABLE else powers[d + shifts[j]])
-            weights.append(row)
-        entries = []
-        for row in weights:
-            total = sum(row, Fraction(0))
-            entries.append([x / total for x in row])
-        t = _contraction_towards_uniform(entries, graph, r, m)
+        rows = [[0 if drow[s] == UNREACHABLE else powers[drow[s] + k]
+                 for s, k in zip(sources, shifts)] for drow in dm.dist]
+        dens = [sum(row) for row in rows]
+        t = _contraction_towards_uniform(rows, dens, graph, r, m)
         if t > 0:
-            u = Fraction(1, m)
-            entries = [[(1 - t) * x + t * u for x in row] for row in entries]
-        matrix = ChannelMatrix.from_rows(entries)
+            a, b = t.numerator, t.denominator
+            rows = [[(b - a) * m * x + a * den for x in row] for row, den in zip(rows, dens)]
+            dens = [b * m * den for den in dens]
+        matrix = ChannelMatrix(rows, denominators=dens)
         audit = dp_audit(matrix, graph)
         if audit.max_ratio is None or audit.max_ratio > pp.inv_ratio:
             raise RuntimeError("sampler produced an infeasible channel, which cannot happen")

@@ -21,6 +21,7 @@ Both guarantees are exact rational identities, re-verified by the test
 suite on seeded random privacy-feasible channels rather than trusted.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,7 +97,10 @@ def to_diagonal_form(matrix, graph):
     for row, target in zip(matrix.numerators, nums):
         for j, x in enumerate(row):
             target[assign[j]] += x
-    col_labels = list(matrix.row_labels) + [f"z{k}" for k in range(n, m)]
+    # a surplus column's name z{k} may already label a row; skip those names
+    taken = set(matrix.row_labels)
+    spare = (f"z{k}" for k in itertools.count(n) if f"z{k}" not in taken)
+    col_labels = matrix.row_labels + tuple(itertools.islice(spare, m - n))
     merged = ChannelMatrix(nums, matrix.row_labels, col_labels,
                            denominators=matrix.denominators)
     return CanonicalForm(merged, STAGE_DIAGONAL, merge_map=assign)

@@ -74,6 +74,20 @@ class TestGraphCommand:
         assert main(["graph", "--graph-file", "/nonexistent/graph.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_two_disjoint_edges(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(Graph(4, {(0, 1), (2, 3)}).to_json(), encoding="utf-8")
+        assert main(["graph", "--graph-file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "connected: no" in lines
+        assert "diameter: infinite (disconnected)" in lines
+        assert "distance-regular: no" in lines
+        assert main(["graph", "--graph-file", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["connected"] is False
+        assert payload["distance_regular"] is False
+        assert "diameter" not in payload
+
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DPCHANNEL_SIZE_CAP", "10")
         assert main(["graph", "--family", "hamming:4,2"]) == 1
@@ -167,6 +181,22 @@ class TestOptionSurface:
             assert tuple(fmt.choices) == expected, name
         assert slots == 48
 
+    @pytest.mark.parametrize("argv, option", [
+        (["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", "random",
+          "--count", "0"], "--count"),
+        (["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", "hillclimb",
+          "--iters", "-5"], "--iters"),
+        (["graph", "--family", "cycle:5", "--effort", "-1"], "--effort"),
+    ], ids=["count-0", "iters-minus-5", "effort-minus-1"])
+    def test_counts_and_budgets_take_positive_integers_only(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: dpchannel {argv[0]} ")
+        assert f"argument {option}: must be a positive integer, got {argv[-1]}" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--family", "clique:3", "--ratio", "1/2", "--effort", "5"],
         ["graph", "--family", "clique:3", "--format", "csv"],
@@ -208,6 +238,37 @@ class TestAnalyzeCommand:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["posterior_success"] == "603/2500"
+
+    def test_a_prior_in_another_label_order_is_reordered(self, m2_csv, tmp_path, capsys):
+        values = {"A": "1/2", "B": "1/10", "C": "1/10", "D": "1/10", "E": "1/10", "F": "1/10"}
+        for name, order in (("in_order.csv", "ABCDEF"), ("shuffled.csv", "FBDAEC")):
+            (tmp_path / name).write_text("".join(f"{k},{values[k]}\n" for k in order),
+                                         encoding="utf-8")
+        outputs = []
+        for name in ("in_order.csv", "shuffled.csv"):
+            assert main(["analyze", "--family", "clique:6", "--matrix", m2_csv, "--ratio", "1/2",
+                         "--prior", str(tmp_path / name), "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["max_prior_prob"] == "1/2"
+
+    def test_a_prior_of_the_wrong_length_is_refused(self, m2_csv, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("A,1/5\nB,1/5\nC,1/5\nD,1/5\nE,1/5\n", encoding="utf-8")
+        assert main(["analyze", "--family", "clique:6", "--matrix", m2_csv, "--ratio", "1/2",
+                     "--prior", str(prior)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: prior length does not match the matrix rows\n"
+
+    def test_base_dependent_profile_has_no_bounds(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(ChannelMatrix.identity(4).to_csv(), encoding="utf-8")
+        assert main(["analyze", "--family", "path:4", "--matrix", str(path),
+                     "--ratio", "1/2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "bounds: not applicable (base-dependent profile)"
+        assert not any(line.startswith("utility bound") for line in lines)
 
     def test_dimension_mismatch_is_an_error(self, m2_csv, capsys):
         assert main(["analyze", "--family", "clique:5", "--matrix", m2_csv,
@@ -324,6 +385,18 @@ class TestTransformCommand:
         assert payload["merge_map"] == [0, 1, 1]
         assert payload["matrix"]["entries"][0] == ["1/2", "1/2", "0"]
 
+    def test_surplus_columns_never_reuse_a_row_label(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b,c,d\nz0,1/2,1/4,1/8,1/8\nz1,1/4,1/2,1/8,1/8\n"
+                        "z3,1/4,1/4,1/4,1/4\n", encoding="utf-8")
+        g = tmp_path / "g.json"
+        g.write_text(build_clique(3).to_json(), encoding="utf-8")
+        assert main(["transform", "--graph-file", str(g), "--matrix", str(path),
+                     "--stage", "diagonal", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["matrix"]["col_labels"] == ["z0", "z1", "z3", "z4"]
+        assert ChannelMatrix.from_dict(payload["matrix"]).col_labels == ("z0", "z1", "z3", "z4")
+
     def test_symmetric_stage_on_disconnected_vertex_transitive_graph(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text(Graph(4, {(0, 1), (2, 3)}).to_json(), encoding="utf-8")
@@ -349,6 +422,15 @@ class TestCompareCommand:
         nonuni = lines[2].split(",")
         assert float(nonuni[1]) == pytest.approx(0.2412, abs=1e-6)
         assert float(nonuni[2]) == pytest.approx(2 / 7, abs=1e-6)
+
+    def test_text_format(self, m2_csv, city_prior_csv, capsys):
+        assert main(["compare", "--matrix-a", "fixture:geometric", "--matrix-b", m2_csv,
+                     "--prior", city_prior_csv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "prior uniform:"
+        assert lines[1].startswith("  utility:  673/3000 (= 0.224333)  vs  2/7 (= 0.285714)")
+        assert lines[3] == "prior prior.csv:"
+        assert len(lines) == 6
 
     def test_matrix_against_itself(self, m2_csv, capsys):
         assert main(["compare", "--matrix-a", m2_csv, "--matrix-b", m2_csv,

@@ -2,8 +2,10 @@
 
 ``ChannelMatrix.entries`` is the ``Fraction`` view at the API edge.  The
 guard tests make every read of it fail and run the transforms, the oracles,
-``utility`` and every CLI subcommand.  The pins below were captured before
-those computations left ``entries``, so they hold the outputs still.
+``utility`` and every CLI subcommand; the random sampler's guard also
+refuses ``ChannelMatrix.from_rows``, which takes entry values.  The pins
+below were captured before those computations left ``entries``, so they
+hold the outputs still.
 """
 
 import hashlib
@@ -165,3 +167,35 @@ class TestOutputsArePinned:
             "35706a045209952517726b0a0cbcbcb63bb28da9788b606c36e23f268cc062b6",
             "af7fa2cd3e9ad197417401ab8c6c29d021533927bb6672176fd6bc8e13ddf44b",
         ]
+
+
+class TestSamplerBuildsIntegerRows:
+    """random_dp_sample builds each channel as integer rows over their sums."""
+
+    @pytest.fixture
+    def no_from_rows(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("the sampler built a channel from entry values")
+        monkeypatch.setattr(ChannelMatrix, "from_rows", classmethod(refuse))
+
+    @pytest.mark.parametrize("graph", [C12, build_family("petersen"),
+                                       Graph(5, {(0, 1), (2, 3), (3, 4)})],
+                             ids=["C12(1,2)", "petersen", "disconnected"])
+    def test_draws_without_entry_values(self, graph, no_from_rows, no_entries):
+        assert len(list(random_dp_sample(graph, EPS07, 4, seed=3))) == 4
+
+    def test_seeded_samples_are_pinned(self):
+        # captured while the sampler still computed on Fraction entries
+        graphs = [build_family(spec) for spec in (
+            "clique:3", "cycle:5", "path:4", "petersen", "hamming:2,3", "hamming:3,2")]
+        graphs += [C12, Graph(5, {(0, 1), (2, 3), (3, 4)}), Graph(1, set())]
+        levels = [PrivacyParameter.from_ratio(r) for r in
+                  (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), 1)] + [EPS07]
+        digest = hashlib.sha256()
+        for graph in graphs:
+            for pp in levels:
+                for seed in (0, 1):
+                    for matrix in random_dp_sample(graph, pp, 3, seed):
+                        digest.update(matrix.to_json().encode("utf-8") + b"\n")
+        assert digest.hexdigest() == \
+            "a3f6703e60fd5a489d3705a4bff1c97f27bf0c468eb6e8bdd607a307c9e094b4"

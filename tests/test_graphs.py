@@ -205,7 +205,7 @@ class TestDistances:
         g = Graph(4, {(0, 1), (2, 3)})
         dm = distances(g)
         assert dm.d(0, 2) == UNREACHABLE
-        assert not dm.is_connected
+        assert not g.is_connected
         assert dm.diameter == 1
         with pytest.raises(DisconnectedGraphError):
             distance_profile(g)
@@ -323,6 +323,18 @@ class TestVertexTransitivity:
     def test_irregular_graph_is_refused_structurally(self):
         assert vt_plus_certificate(STAR_K13).status == "no"
 
+    def test_single_vertex_is_trivially_certified(self):
+        cert = vt_plus_certificate(Graph(1, set()))
+        assert (cert.status, cert.method) == ("yes", "trivial")
+        assert cert.family.perms == ((0,),)
+
+    def test_triangle_beside_a_square_is_ruled_out_by_its_whole_group(self):
+        # 2-regular, so only the exhaustive group search can answer
+        g = Graph(7, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)})
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.family) == ("no", None)
+        assert cert.method == "no sharply transitive family among all 48 automorphisms"
+
 
 class TestSingleOrbit:
     def test_present_on_small_product_domains(self):
@@ -357,6 +369,16 @@ class TestVerifyFamily:
     def test_translations_verify_on_square(self):
         g = build_hamming(2, 2)
         assert verify_family(g, hamming_translation_family(2, 2))
+
+    @pytest.mark.parametrize("u, v", [(1, 2), (2, 2), (2, 4), (3, 3), (4, 4), (5, 3)])
+    def test_translations_match_shifted_digit_tuples(self, u, v):
+        # reference: shift each base-v tuple and look up the index of the result
+        tuples = list(itertools.product(range(v), repeat=u))
+        index = {t: i for i, t in enumerate(tuples)}
+        expected = tuple(
+            tuple(index[tuple((d + s) % v for d, s in zip(tup, shift))] for tup in tuples)
+            for shift in tuples)
+        assert hamming_translation_family(u, v).perms == expected
 
     def test_non_automorphism_fails(self):
         g = build_path(3)
