@@ -152,6 +152,9 @@ def _frac_float(q):
 
 def cmd_graph(args):
     g = _load_graph(args)
+    # A "yes" proves every vertex looks like vertex 0, so the fields below
+    # come from one BFS from vertex 0; otherwise all pairs are examined.
+    cert = vt_plus_certificate(g, effort=args.effort)
     hist = {}
     for d in g.degrees:
         hist[d] = hist.get(d, 0) + 1
@@ -163,18 +166,20 @@ def cmd_graph(args):
              "degrees: " + ", ".join(f"{k} (x{v})" for k, v in sorted(hist.items())),
              f"connected: {'yes' if g.is_connected else 'no'}"]
     if g.is_connected:
-        dm = g.distance_matrix
         profile = distance_profile(g, 0)
-        shared = common_profile(g)
+        if cert.status == "yes":
+            diameter, shared = profile.diameter, profile
+        else:
+            diameter, shared = g.distance_matrix.diameter, common_profile(g)
         payload.update({
-            "diameter": dm.diameter,
+            "diameter": diameter,
             "profile_base_0": list(profile.counts),
             "profile_base_independent": shared is not None,
         })
-        lines.append(f"diameter: {dm.diameter}")
+        lines.append(f"diameter: {diameter}")
         lines.append("profile (base 0): " + ", ".join(str(c) for c in profile.counts))
         lines.append("profile base-independent: " + ("yes" if shared else "no"))
-        array = is_distance_regular(g)
+        array = is_distance_regular(g, cert)
         if array is not None:
             payload["distance_regular"] = True
             payload["intersection_array"] = {"b": list(array.b), "c": list(array.c)}
@@ -187,7 +192,6 @@ def cmd_graph(args):
         payload["distance_regular"] = False
         lines.append("diameter: infinite (disconnected)")
         lines.append("distance-regular: no")
-    cert = vt_plus_certificate(g, effort=args.effort)
     payload["vt_plus"] = cert.status
     payload["vt_plus_method"] = cert.method
     lines.append(f"VT+: {cert.status} ({cert.method})")
@@ -359,22 +363,38 @@ def cmd_compare(args):
     return _emit(args, {"rows": rows}, text=text, csv=csv)
 
 
+# The options each oracle method reads, with their defaults; every other
+# method option is a usage error.
+ORACLE_METHOD_OPTIONS = {
+    "grid": {"step": "1/16"},
+    "hillclimb": {"iters": 10_000, "seed": 0},
+    "random": {"count": 20, "seed": 0},
+}
+
+
 def cmd_oracle(args):
+    own = ORACLE_METHOD_OPTIONS[args.method]
+    given = {name: getattr(args, name) for name in ("step", "iters", "count", "seed")
+             if getattr(args, name) is not None}
+    stray = [f"--{name}" for name in given if name not in own]
+    if stray:
+        args.usage_error(f"--method {args.method} does not take {', '.join(stray)}")
+    opt = {**own, **given}
     g = _load_graph(args)
     pp = _privacy(args)
     if args.method == "grid":
-        report = grid_search_optimal(g, pp, Fraction(args.step))
+        report = grid_search_optimal(g, pp, Fraction(opt["step"]))
     elif args.method == "hillclimb":
-        report = hillclimb_utility(g, pp, iters=args.iters, seed=args.seed)
+        report = hillclimb_utility(g, pp, iters=opt["iters"], seed=opt["seed"])
     else:
         best = None
         count = 0
-        for matrix in random_dp_sample(g, pp, args.count, args.seed):
+        for matrix in random_dp_sample(g, pp, opt["count"], opt["seed"]):
             count += 1
             value = posterior_success(Prior.uniform(g.n), matrix)
             if best is None or value > best[0]:
                 best = (value, matrix)
-        report = SearchReport("random", args.seed, count, best[0], best[1])
+        report = SearchReport("random", opt["seed"], count, best[0], best[1])
     payload = report.to_dict()
     shared = common_profile(g) if g.is_connected else None
     bound = None
@@ -474,11 +494,12 @@ def build_parser():
     _add_graph_source(p)
     _add_privacy(p)
     p.add_argument("--method", choices=("grid", "hillclimb", "random"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=positive_int, default=10_000)
-    p.add_argument("--step", default="1/16", help="grid step, must divide 1")
-    p.add_argument("--count", type=positive_int, default=20,
-                   help="sample count for --method random")
+    p.add_argument("--seed", type=int, help="seed for hillclimb and random (default 0)")
+    p.add_argument("--iters", type=positive_int,
+                   help="steps for --method hillclimb (default 10000)")
+    p.add_argument("--step", help="grid step for --method grid, must divide 1 (default 1/16)")
+    p.add_argument("--count", type=positive_int,
+                   help="sample count for --method random (default 20)")
     p.set_defaults(func=cmd_oracle)
 
     for p in sub.choices.values():

@@ -12,12 +12,26 @@ symmetry families everything else relies on:
   every position exactly once (a sharply transitive family, verified
   explicitly by :func:`verify_family`).
 
-Each :class:`Graph` computes its all-pairs BFS distance matrix once, on
-first use, and derives connectivity, the per-vertex distance profiles and
-distance-regularity from it.  The rest of the library (the distance kernel,
-the canonical form's distance classes, the random sampler's component
-representatives) reads ``graph.distance_matrix`` instead of running its own
-BFS or component search.
+A sharply transitive family is held by generators where it is a regular
+group: the u unit shifts of a product domain, or the single-orbit
+automorphism sigma whose powers form the family.  Such a certificate is
+checked in O(generators * (edges + n)) without listing its n members; only
+the automorphism cover search, which can return a family that is not a
+group, holds all n permutations.
+
+Base-vertex rule: a "yes" certificate proves that an automorphism takes
+vertex 0 to every vertex, so every vertex sees the graph as vertex 0 does.
+One BFS from vertex 0 (``graph.base_row``) then gives connectivity, the
+diameter and the shared distance profile, and distance-regularity is
+counted from base 0 alone (:func:`is_distance_regular` with the
+certificate).  On a graph with Hamming labels the verified translations
+also give the whole distance matrix: row i is the base row carried along
+the translation that takes 0 to i.  Every other graph computes its
+all-pairs BFS matrix once, on first use, with :func:`distances`, the
+reference the symmetric shortcuts are tested against.  The rest of the
+library (the distance kernel, the canonical form's distance classes, the
+random sampler's component representatives) reads ``graph.distance_matrix``
+instead of running its own BFS or component search.
 
 Classification is exact: a "yes" always carries a checked certificate, a
 "no" is only reported when the search space was exhausted (or a structural
@@ -28,8 +42,10 @@ and budget exhaustion is reported as "unknown" rather than guessed.
 import collections
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 UNREACHABLE = -1
 
@@ -105,13 +121,38 @@ class Graph:
         return len(set(self.degrees)) == 1
 
     @cached_property
+    def base_row(self):
+        """Distances from vertex 0, by one BFS."""
+        return tuple(_bfs(self, 0))
+
+    @cached_property
+    def translations(self):
+        """The verified coordinate-translation family of a graph with Hamming
+        labels (see :func:`hamming_translation_family`), else None."""
+        params = _hamming_parameters(self)
+        if params is None:
+            return None
+        fam = hamming_translation_family(*params)
+        if not verify_family(self, fam):
+            raise RuntimeError("internal error: translation family failed verification")
+        return fam
+
+    @cached_property
     def distance_matrix(self):
-        """All-pairs distances, computed once per graph by :func:`distances`."""
-        return distances(self)
+        """All-pairs distances, computed once per graph.
+
+        With Hamming labels, row i is the base row carried along the
+        verified translation that takes vertex 0 to i; otherwise
+        :func:`distances` runs one BFS per vertex.
+        """
+        fam = self.translations
+        if fam is None:
+            return distances(self)
+        return DistanceMatrix(_transported_rows(fam, self.base_row), max(self.base_row))
 
     @cached_property
     def is_connected(self):
-        return UNREACHABLE not in self.distance_matrix.dist[0]
+        return UNREACHABLE not in self.base_row
 
     @cached_property
     def profile_counts(self):
@@ -121,8 +162,7 @@ class Graph:
         """
         if not self.is_connected:
             raise DisconnectedGraphError("distance profile needs a connected graph")
-        return tuple(tuple(row.count(d) for d in range(max(row) + 1))
-                     for row in self.distance_matrix.dist)
+        return tuple(_strata(row) for row in self.distance_matrix.dist)
 
     def neighbors(self, v):
         return self.adjacency[v]
@@ -212,12 +252,53 @@ class IntersectionArray:
 
 @dataclass(frozen=True)
 class AutomorphismFamily:
-    """n vertex permutations whose images of any fixed vertex cover all vertices."""
+    """n vertex permutations whose images of any fixed vertex cover all vertices.
 
-    perms: tuple
+    Held in one of two forms:
+
+    * explicit, ``AutomorphismFamily(perms)``: all n permutations, as the
+      automorphism cover search finds them (not necessarily a group);
+    * generated, ``AutomorphismFamily(generators=gens, orders=bounds)``:
+      pairwise commuting permutations g_k with one exponent bound o_k each
+      and prod(bounds) == n.  The members are the n products
+      ``g_0**e_0 * g_1**e_1 * ...`` with 0 <= e_k < o_k, exponent tuples in
+      lexicographic order.  A product domain holds its u unit shifts with
+      bound v each; a single-orbit automorphism sigma is held with bound n.
+
+    ``perms`` lists the members in that order; a generated family builds
+    them on each read, and nothing on the certificate path reads them.
+    """
+
+    explicit: tuple | None = None
+    generators: tuple = ()
+    orders: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "perms", tuple(tuple(p) for p in self.perms))
+        if (self.explicit is None) == (not self.generators):
+            raise ValueError("give either the explicit permutations or generators")
+        if self.explicit is not None:
+            object.__setattr__(self, "explicit", tuple(tuple(p) for p in self.explicit))
+            return
+        orders = tuple(self.orders)
+        if len(orders) != len(self.generators) or any(
+                not isinstance(o, int) or o < 1 for o in orders):
+            raise ValueError("each generator needs a positive exponent bound")
+        object.__setattr__(self, "generators", tuple(tuple(p) for p in self.generators))
+        object.__setattr__(self, "orders", orders)
+
+    @property
+    def perms(self):
+        """The n members, each as a tuple mapping vertex v to ``perm[v]``."""
+        if self.explicit is not None:
+            return self.explicit
+        members = [tuple(range(len(self.generators[0])))]
+        for gen, order in zip(reversed(self.generators), reversed(self.orders)):
+            power = members                      # gen**e * member, e = 0, 1, ...
+            members = []
+            for _ in range(order):
+                members += power
+                power = [tuple(map(gen.__getitem__, p)) for p in power]
+        return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -355,9 +436,14 @@ def _bfs(g, source):
     return dist
 
 
+def _strata(row):
+    """Counts of vertices at each distance in one row of finite distances."""
+    return tuple(row.count(d) for d in range(max(row) + 1))
+
+
 def distances(g):
-    """All-pairs BFS distances."""
-    rows = [_bfs(g, s) for s in range(g.n)]
+    """All-pairs BFS distances; row 0 is the graph's cached ``base_row``."""
+    rows = [g.base_row] + [_bfs(g, s) for s in range(1, g.n)]
     # UNREACHABLE is below the zero diagonal, so each row's max is finite
     diameter = max(max(row) for row in rows)
     return DistanceMatrix(tuple(tuple(r) for r in rows), diameter)
@@ -366,16 +452,26 @@ def distances(g):
 def distance_profile(g, base=0):
     """How many vertices sit at each distance from ``base``.
 
-    Raises ``DisconnectedGraphError`` when some vertex is unreachable.
+    Base 0 reads the single BFS ``g.base_row``; other bases read the
+    distance matrix.  Raises ``DisconnectedGraphError`` when some vertex is
+    unreachable.
     """
-    return DistanceProfile(base, g.profile_counts[base])
+    if base != 0:
+        return DistanceProfile(base, g.profile_counts[base])
+    if not g.is_connected:
+        raise DisconnectedGraphError("distance profile needs a connected graph")
+    return DistanceProfile(0, _strata(g.base_row))
 
 
 def common_profile(g):
     """The shared distance profile of all base vertices, or None if it varies.
 
-    Raises ``DisconnectedGraphError`` when some vertex is unreachable.
+    Verified Hamming translations make every vertex look like vertex 0, so
+    such a graph's profile is read from ``g.base_row`` alone.  Raises
+    ``DisconnectedGraphError`` when some vertex is unreachable.
     """
+    if g.translations is not None:
+        return distance_profile(g, 0)
     counts = g.profile_counts
     if any(other != counts[0] for other in counts):
         return None
@@ -386,24 +482,33 @@ def common_profile(g):
 # distance-regularity
 # ---------------------------------------------------------------------------
 
-def is_distance_regular(g):
+def is_distance_regular(g, cert=None):
     """Return the intersection array if the graph is distance-regular, else None.
 
-    Checks the defining counting property on every ordered vertex pair: at
+    Checks the defining counting property on ordered vertex pairs: at
     distance i, the second vertex must have exactly c_i neighbors one
     stratum closer to the first vertex and b_i neighbors one stratum
     further, with the same constants everywhere.
+
+    ``cert``, this graph's :func:`vt_plus_certificate` answer, is optional
+    evidence: a "yes" (or verified Hamming translations on the graph
+    itself) proves every vertex looks like vertex 0, so only the pairs
+    based at vertex 0 are counted, from the one BFS ``g.base_row``.
+    Otherwise every pair of the all-pairs distance matrix is counted.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("distance-regularity is defined for connected graphs")
     if not g.is_regular:
         return None
-    dm = g.distance_matrix
-    diam = dm.diameter
+    if (cert is not None and cert.status == "yes") or g.translations is not None:
+        rows = (g.base_row,)
+        diam = max(g.base_row)
+    else:
+        dm = g.distance_matrix
+        rows, diam = dm.dist, dm.diameter
     b = [None] * (diam + 1)
     c = [None] * (diam + 1)
-    for x in range(g.n):
-        drow = dm.dist[x]
+    for drow in rows:
         for y in range(g.n):
             i = drow[y]
             closer = 0
@@ -567,16 +672,6 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     return tuple(perm)
 
 
-def _perm_powers(sigma):
-    n = len(sigma)
-    fam = [tuple(range(n))]
-    cur = tuple(range(n))
-    for _ in range(n - 1):
-        cur = tuple(sigma[cur[v]] for v in range(n))
-        fam.append(cur)
-    return AutomorphismFamily(tuple(fam))
-
-
 def _hamming_parameters(g):
     """Recover (u, v) when the graph is a product domain built by build_hamming."""
     if g.labels is None or g.n < 2:
@@ -607,39 +702,104 @@ def hamming_translation_family(u, v):
 
     Adding a fixed shift tuple modulo v moves every vertex and preserves
     the differ-in-one-coordinate relation, and over all v**u shifts any
-    fixed vertex visits every position exactly once.  A vertex's index is
-    its tuple read in base v, so the family is built one coordinate at a
-    time, each new coordinate the most significant, shifts in tuple order.
+    fixed vertex visits every position exactly once.  The family is held by
+    its generators: one unit shift per coordinate, most significant first,
+    each with exponent bound v, so its members in order are the shifts in
+    tuple order.  A vertex's index is its tuple read in base v, so the unit
+    shift of a coordinate with stride s adds s, wrapping the digit v-1 to 0.
     """
-    perms = [(0,)]
-    size = 1
-    for _ in range(u):
-        perms = [tuple((d + s) % v * size + x for d in range(v) for x in p)
-                 for s in range(v) for p in perms]
-        size *= v
-    return AutomorphismFamily(tuple(perms))
+    n = v ** u
+    gens = []
+    for i in range(u):
+        stride = v ** (u - 1 - i)
+        wrap = (v - 1) * stride
+        gens.append(tuple(x - wrap if x // stride % v == v - 1 else x + stride
+                          for x in range(n)))
+    return AutomorphismFamily(generators=tuple(gens), orders=(v,) * u)
+
+
+def _base_orbit(fam):
+    """Images of vertex 0 under the products of the generators' powers, one
+    per member; for commuting generators these are the members' images."""
+    orbit = [0]
+    for gen, order in zip(fam.generators, fam.orders):
+        layer = []
+        for x in orbit:
+            for _ in range(order):
+                layer.append(x)
+                x = gen[x]
+        orbit = layer
+    return orbit
+
+
+def _transported_rows(fam, row):
+    """All distance rows of a graph with a verified generated family.
+
+    Automorphisms preserve distance, so the row of g(x) is the row of x read
+    through g's inverse.  Starting from vertex 0's ``row``, each generator
+    carries the rows of the vertices reached so far, as in
+    :func:`_base_orbit`.  Needs n >= 2, where ``itemgetter`` returns tuples.
+    """
+    rows = {0: row}
+    for gen, order in zip(fam.generators, fam.orders):
+        inverse = [0] * len(gen)
+        for x, y in enumerate(gen):
+            inverse[y] = x
+        carry = itemgetter(*inverse)
+        for x, r in list(rows.items()):
+            for _ in range(order - 1):
+                x, r = gen[x], carry(r)
+                rows[x] = r
+    return tuple(rows[x] for x in range(len(row)))
 
 
 def verify_family(g, fam):
     """Check an automorphism family certificate.
 
-    True iff every permutation maps edges to edges and, for each vertex v,
-    the images ``{perm[v]}`` across the family cover all vertices exactly
-    once.  Raises ``ValueError`` on a length mismatch.
+    True iff the family moves every vertex through all vertices exactly
+    once using automorphisms only.  An explicit family is checked member by
+    member: every permutation maps edges to edges and, for each vertex v,
+    the images ``{perm[v]}`` cover all vertices.  A generated family is
+    checked from its generators in O(generators * (edges + n)):
+
+    * every generator is a permutation that maps edges to edges;
+    * the generators commute pairwise;
+    * the images of vertex 0 under the n members are all n vertices (for a
+      single generator sigma with bound n: sigma is one n-cycle).
+
+    That suffices: if f_v is the member taking 0 to v, then any member f
+    sends v = f_v(0) to f_v(f(0)), so f -> f(v) is a bijection onto the
+    vertices because f -> f(0) is.  Raises ``ValueError`` when the family
+    does not have n members of n vertices each.
     """
     n = g.n
-    if len(fam.perms) != n or any(len(p) != n for p in fam.perms):
-        raise ValueError("family must consist of n permutations of n vertices")
     full = set(range(n))
-    for perm in fam.perms:
-        if set(perm) != full:
+    if fam.explicit is None:
+        gens = fam.generators
+        if math.prod(fam.orders) != n or any(len(p) != n for p in gens):
+            raise ValueError("family must consist of n permutations of n vertices")
+        if any(set(p) != full or not _maps_edges_to_edges(g, p) for p in gens):
             return False
-        for i, j in g.edge_list:
-            a, b = perm[i], perm[j]
-            if ((a, b) if a < b else (b, a)) not in g.edges:
+        for a, b in itertools.combinations(gens, 2):
+            if any(a[b[x]] != b[a[x]] for x in range(n)):
                 return False
+        return len(set(_base_orbit(fam))) == n
+    if len(fam.explicit) != n or any(len(p) != n for p in fam.explicit):
+        raise ValueError("family must consist of n permutations of n vertices")
+    for perm in fam.explicit:
+        if set(perm) != full or not _maps_edges_to_edges(g, perm):
+            return False
     for v in range(n):
-        if {perm[v] for perm in fam.perms} != full:
+        if {perm[v] for perm in fam.explicit} != full:
+            return False
+    return True
+
+
+def _maps_edges_to_edges(g, perm):
+    edges = g.edges
+    for i, j in g.edge_list:
+        a, b = perm[i], perm[j]
+        if ((a, b) if a < b else (b, a)) not in edges:
             return False
     return True
 
@@ -692,12 +852,16 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     Tri-state: "yes" always carries a family that passes
     :func:`verify_family`; "no" is only returned with a structural
     obstruction or after exhausting the full automorphism group; "unknown"
-    means the search budget ran out.
+    means the search budget ran out.  A "yes" also proves that every vertex
+    looks like vertex 0, which :func:`is_distance_regular` and the ``graph``
+    command use to work from that one base vertex.
 
     Fast paths: an irregular degree sequence rules the property out (the
-    family would force vertex transitivity); product domains get the
-    constructive translation family; a single-orbit automorphism sigma
-    yields the family of its powers.
+    family would force vertex transitivity); a graph with Hamming labels
+    gets its translation family, held by its u unit-shift generators and
+    verified once per graph (``graph.translations``); a single-orbit
+    automorphism sigma is held as the one generator of its powers.  Only
+    the automorphism cover search returns all n permutations explicitly.
     """
     n = g.n
     if n == 1:
@@ -706,19 +870,15 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     if not g.is_regular:
         return VtPlusCertificate("no", None, "irregular degree sequence")
 
-    params = _hamming_parameters(g)
-    if params is not None:
-        fam = hamming_translation_family(*params)
-        if not verify_family(g, fam):
-            raise RuntimeError("internal error: translation family failed verification")
-        return VtPlusCertificate("yes", fam, "coordinate translations")
+    if g.translations is not None:
+        return VtPlusCertificate("yes", g.translations, "coordinate translations")
 
     try:
         sigma = single_orbit_automorphism(g, effort)
     except SearchBudgetError:
         sigma = None
     if sigma is not None:
-        fam = _perm_powers(sigma)
+        fam = AutomorphismFamily(generators=(sigma,), orders=(n,))
         if not verify_family(g, fam):
             raise RuntimeError("internal error: single-orbit powers failed verification")
         return VtPlusCertificate("yes", fam, "single-orbit powers")

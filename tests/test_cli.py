@@ -2,19 +2,27 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpchannel import (
+    UNREACHABLE,
+    AutomorphismFamily,
     ChannelMatrix,
     Graph,
     PrivacyParameter,
     build_clique,
     build_cycle,
+    build_hamming,
+    distances,
     optimal_mechanism,
     truncated_geometric_fixture,
+    vt_plus_certificate,
 )
 from dpchannel import graphs
 from dpchannel.cli import build_parser, main
@@ -92,6 +100,71 @@ class TestGraphCommand:
         monkeypatch.setenv("DPCHANNEL_SIZE_CAP", "10")
         assert main(["graph", "--family", "hamming:4,2"]) == 1
         assert "cap" in capsys.readouterr().err
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Hamming graphs (labelled, or relabelled without labels), circulants
+    and disjoint unions of cycles."""
+    kind = draw(st.sampled_from(["hamming", "circulant", "cycles"]))
+    if kind == "hamming":
+        u, v = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
+                                     (3, 3), (2, 5)]))
+        g = build_hamming(u, v)
+        if g.n > 16 or not draw(st.booleans()):
+            return g
+    elif kind == "circulant":
+        n = draw(st.integers(3, 12))
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+        g = Graph(n, {(i, (i + d) % n) for i in range(n) for d in jumps})
+    else:
+        edges, n = set(), 0
+        for k in draw(st.lists(st.integers(3, 6), min_size=1, max_size=3)):
+            edges |= {(n + i, n + (i + 1) % k) for i in range(k)}
+            n += k
+        g = Graph(n, edges)
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
+
+
+def all_pairs_report(g):
+    """The ``graph --format json`` payload, from all-pairs distances and an
+    all-pairs distance-regularity count."""
+    rows = distances(g).dist
+    degrees = [len(g.neighbors(v)) for v in range(g.n)]
+    payload = {"n": g.n, "edges": len(g.edges),
+               "degree_histogram": {str(d): degrees.count(d) for d in sorted(set(degrees))},
+               "connected": UNREACHABLE not in rows[0], "distance_regular": False}
+    if payload["connected"]:
+        counts = [[row.count(d) for d in range(max(row) + 1)] for row in rows]
+        diameter = max(map(max, rows))
+        payload.update({"diameter": diameter, "profile_base_0": counts[0],
+                        "profile_base_independent": all(c == counts[0] for c in counts)})
+        b, c = {}, {}
+        for x, y in itertools.product(range(g.n), repeat=2):
+            i = rows[x][y]
+            near = [rows[x][z] for z in g.neighbors(y)]
+            b.setdefault(i, set()).add(near.count(i + 1))
+            c.setdefault(i, set()).add(near.count(i - 1))
+        if all(len(b[i]) == len(c[i]) == 1 for i in b):
+            payload["distance_regular"] = True
+            payload["intersection_array"] = {"b": [min(b[i]) for i in range(diameter)],
+                                             "c": [min(c[i]) for i in range(1, diameter + 1)]}
+    cert = vt_plus_certificate(g)
+    payload.update({"vt_plus": cert.status, "vt_plus_method": cert.method})
+    return payload
+
+
+class TestGraphReportOracle:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(g=symmetric_graphs())
+    def test_report_matches_the_all_pairs_reference(self, g, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(g.to_json(), encoding="utf-8")
+        assert main(["graph", "--graph-file", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == all_pairs_report(g)
+        assert Graph.from_json(g.to_json()).distance_matrix == distances(g)
 
 
 class TestGraphFileSizeCap:
@@ -211,6 +284,42 @@ class TestOptionSurface:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: dpchannel {argv[0]} ")
         assert f"dpchannel {argv[0]}: error: " in captured.err
+
+
+    @pytest.mark.parametrize("method, given", [
+        ("grid", ["--seed", "9", "--count", "5", "--iters", "7"]),
+        ("grid", ["--seed", "0"]),
+        ("hillclimb", ["--count", "3"]),
+        ("hillclimb", ["--step", "1/4"]),
+        ("random", ["--iters", "5"]),
+        ("random", ["--step", "1/4"]),
+    ], ids=["grid-seed-count-iters", "grid-seed", "hillclimb-count", "hillclimb-step",
+            "random-iters", "random-step"])
+    def test_an_option_the_oracle_method_would_ignore_is_a_usage_error(
+            self, method, given, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", method]
+                 + given)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dpchannel oracle ")
+        stray = ", ".join(sorted(given[::2], key=["--step", "--iters", "--count",
+                                                   "--seed"].index))
+        assert f"dpchannel oracle: error: --method {method} does not take {stray}\n" in (
+            captured.err)
+
+    @pytest.mark.parametrize("method, given, seed, trials", [
+        ("grid", ["--step", "1/4"], 0, 75),
+        ("hillclimb", ["--iters", "7", "--seed", "4"], 4, 7),
+        ("random", ["--count", "3", "--seed", "4"], 4, 3),
+    ], ids=["grid", "hillclimb", "random"])
+    def test_each_oracle_method_reads_its_own_options(self, method, given, seed, trials,
+                                                      capsys):
+        assert main(["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", method,
+                     "--format", "json"] + given) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["seed"], payload["trials"]) == (seed, trials)
 
 
 class TestAnalyzeCommand:
@@ -505,7 +614,8 @@ GOLDEN_JSON_SHA256 = {
 
 
 class TestOneDistancePass:
-    """Each command runs one BFS per vertex of its graph, and no more."""
+    """Each command runs at most one BFS per vertex of its graph; a graph
+    whose symmetry is certified is measured from vertex 0 by one BFS."""
 
     @pytest.fixture
     def bfs_passes(self, monkeypatch):
@@ -519,13 +629,26 @@ class TestOneDistancePass:
         monkeypatch.setattr(graphs, "_bfs", counting_bfs)
         return calls
 
+    @pytest.fixture
+    def perms_refused(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a certificate's members were listed")
+
+        monkeypatch.setattr(AutomorphismFamily, "perms", property(refuse))
+
     def test_synth(self, bfs_passes, capsys):
         assert main(["synth", "--family", "hamming:3,3", "--ratio", "1/2"]) == 0
-        assert len(bfs_passes) == 27
+        assert len(bfs_passes) == 1
 
     def test_graph(self, bfs_passes, capsys):
         assert main(["graph", "--family", "petersen"]) == 0
-        assert len(bfs_passes) == 10
+        assert "VT+: yes (automorphism cover search)" in capsys.readouterr().out
+        assert len(bfs_passes) == 1
+
+    def test_graph_without_a_certificate_examines_every_base(self, bfs_passes, capsys):
+        assert main(["graph", "--family", "path:5"]) == 0
+        assert "VT+: no" in capsys.readouterr().out
+        assert sorted(bfs_passes) == [0, 1, 2, 3, 4]
 
     def test_symmetric_transform(self, bfs_passes, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -533,7 +656,20 @@ class TestOneDistancePass:
         assert main(["transform", "--stage", "symmetric", "--family", "hamming:2,3",
                      "--matrix", str(path)]) == 0
         assert "(distance_regular)" in capsys.readouterr().out
-        assert len(bfs_passes) == 9
+        assert len(bfs_passes) == 1
+
+    @pytest.mark.parametrize("argv, method", [
+        (["graph", "--family", "hamming:6,4"], "coordinate translations"),
+        (["graph", "--family", "cycle:31"], "single-orbit powers"),
+        (["synth", "--family", "hamming:4,4", "--ratio", "1/2"], None),
+    ], ids=["graph-hamming-6-4", "graph-cycle-31", "synth-hamming-4-4"])
+    def test_certified_work_is_one_bfs_and_no_member_list(
+            self, argv, method, bfs_passes, perms_refused, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if method:
+            assert f"VT+: yes ({method})" in out
+        assert bfs_passes == [0]
 
 
 class TestGoldenOutput:

@@ -6,6 +6,8 @@ from collections import deque
 
 import pytest
 
+from dpchannel import graphs
+from dpchannel.cli import main
 from dpchannel import (
     AutomorphismFamily,
     DisconnectedGraphError,
@@ -389,3 +391,100 @@ class TestVerifyFamily:
         g = build_cycle(4)
         with pytest.raises(ValueError):
             verify_family(g, AutomorphismFamily(((0, 1, 2, 3),) * 3))
+
+
+def _rook_3x3(f):
+    """Permutation (a, b) -> f(a, b) of the 3x3 product domain's indices 3a + b."""
+    return tuple(3 * x + y for x, y in (f(a, b) for a in range(3) for b in range(3)))
+
+
+UNIT_SHIFT_A = _rook_3x3(lambda a, b: ((a + 1) % 3, b))
+UNIT_SHIFT_B = _rook_3x3(lambda a, b: (a, (b + 1) % 3))
+# Corrupted generator sets for hamming(2, 3), each breaking one condition:
+CORRUPTED_TRANSLATIONS = {
+    # commutes with the b shift and covers vertex 0's orbit, but sends the
+    # edge 00-10 to 10-21, which differ in both coordinates
+    "not-an-automorphism": ((_rook_3x3(lambda a, b: ((a + 1) % 3, (b + (a == 1)) % 3)),
+                             UNIT_SHIFT_B), (3, 3)),
+    # automorphisms whose products cover vertex 0's orbit, but a(b(0)) = 1 != 2 = b(a(0))
+    "non-commuting": ((UNIT_SHIFT_A, _rook_3x3(lambda a, b: ((0, 2, 1)[a], (b + 1) % 3))),
+                      (3, 3)),
+    # the a shift twice: the products reach only the 3 vertices of one column
+    "repeated-shift": ((UNIT_SHIFT_A, UNIT_SHIFT_A), (3, 3)),
+}
+ROTATE_BY_TWO = (2, 3, 4, 5, 0, 1)       # (0 2 4)(1 3 5) on the 6-cycle
+
+
+class TestGeneratorCertificates:
+    """A generated family is checked from its generators alone, and a
+    corrupted one never yields a "yes"."""
+
+    def test_translations_are_held_by_unit_shifts(self):
+        fam = hamming_translation_family(2, 3)
+        assert fam.explicit is None
+        assert fam.generators == (UNIT_SHIFT_A, UNIT_SHIFT_B)
+        assert fam.orders == (3, 3)
+        assert verify_family(build_hamming(2, 3), fam)
+
+    @pytest.mark.parametrize("kind", list(CORRUPTED_TRANSLATIONS))
+    def test_a_corrupted_translation_set_fails(self, kind):
+        gens, orders = CORRUPTED_TRANSLATIONS[kind]
+        fam = AutomorphismFamily(generators=gens, orders=orders)
+        assert not verify_family(build_hamming(2, 3), fam)
+
+    def test_sigma_with_two_cycles_fails(self):
+        fam = AutomorphismFamily(generators=(ROTATE_BY_TWO,), orders=(6,))
+        assert not verify_family(build_cycle(6), fam)
+
+    def test_a_rotation_that_is_no_automorphism_fails(self):
+        fam = AutomorphismFamily(generators=((1, 2, 3, 0),), orders=(4,))
+        assert verify_family(build_cycle(4), fam)
+        assert not verify_family(build_path(4), fam)
+
+    @pytest.mark.parametrize("kind", list(CORRUPTED_TRANSLATIONS))
+    def test_corrupted_translations_never_yield_yes(self, kind, monkeypatch, capsys):
+        gens, orders = CORRUPTED_TRANSLATIONS[kind]
+        monkeypatch.setattr(graphs, "hamming_translation_family",
+                            lambda u, v: AutomorphismFamily(generators=gens, orders=orders))
+        with pytest.raises(RuntimeError, match="translation family failed verification"):
+            vt_plus_certificate(build_hamming(2, 3))
+        assert main(["graph", "--family", "hamming:2,3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed verification" in captured.err
+
+    def test_a_two_cycle_sigma_never_yields_yes(self, monkeypatch, capsys):
+        monkeypatch.setattr(graphs, "single_orbit_automorphism", lambda g, effort: ROTATE_BY_TWO)
+        with pytest.raises(RuntimeError, match="single-orbit powers failed verification"):
+            vt_plus_certificate(build_cycle(6))
+        assert main(["graph", "--family", "cycle:6"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("orders", [(3,), (3, 2)])
+    def test_the_wrong_member_count_raises(self, orders):
+        gens = (UNIT_SHIFT_A, UNIT_SHIFT_B)[:len(orders)]
+        with pytest.raises(ValueError):
+            verify_family(build_hamming(2, 3), AutomorphismFamily(generators=gens,
+                                                                  orders=orders))
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_powers_are_listed_in_exponent_order(self, n):
+        cert = vt_plus_certificate(build_cycle(n))
+        (sigma,) = cert.family.generators
+        expected = [tuple(range(n))]
+        for _ in range(n - 1):
+            expected.append(tuple(sigma[v] for v in expected[-1]))
+        assert cert.family.perms == tuple(expected)
+
+    def test_a_hamming_profile_is_read_from_the_base_row(self):
+        g = build_hamming(3, 3)
+        assert common_profile(g).counts == (1, 6, 12, 8)
+        assert "distance_matrix" not in vars(g)
+
+    @pytest.mark.parametrize("u, v", [(1, 2), (2, 3), (3, 4), (4, 2), (2, 5)])
+    def test_hamming_rows_are_transported_from_the_base_row(self, u, v, monkeypatch):
+        g = build_hamming(u, v)
+        expected = distances(g)
+        g = build_hamming(u, v)
+        monkeypatch.setattr(graphs, "distances", None)      # the matrix must not need it
+        assert g.distance_matrix == expected
