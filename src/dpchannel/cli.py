@@ -152,8 +152,8 @@ def _frac_float(q):
 
 def cmd_graph(args):
     g = _load_graph(args)
-    # A "yes" proves every vertex looks like vertex 0, so the fields below
-    # come from one BFS from vertex 0; otherwise all pairs are examined.
+    # Certify first: a "yes" records its family on g, and the profile and
+    # distance-regularity below are then read from vertex 0's one BFS.
     cert = vt_plus_certificate(g, effort=args.effort)
     hist = {}
     for d in g.degrees:
@@ -167,10 +167,8 @@ def cmd_graph(args):
              f"connected: {'yes' if g.is_connected else 'no'}"]
     if g.is_connected:
         profile = distance_profile(g, 0)
-        if cert.status == "yes":
-            diameter, shared = profile.diameter, profile
-        else:
-            diameter, shared = g.distance_matrix.diameter, common_profile(g)
+        shared = common_profile(g)
+        diameter = shared.diameter if shared is not None else g.distance_matrix.diameter
         payload.update({
             "diameter": diameter,
             "profile_base_0": list(profile.counts),
@@ -179,7 +177,7 @@ def cmd_graph(args):
         lines.append(f"diameter: {diameter}")
         lines.append("profile (base 0): " + ", ".join(str(c) for c in profile.counts))
         lines.append("profile base-independent: " + ("yes" if shared else "no"))
-        array = is_distance_regular(g, cert)
+        array = is_distance_regular(g)
         if array is not None:
             payload["distance_regular"] = True
             payload["intersection_array"] = {"b": list(array.b), "c": list(array.c)}
@@ -494,12 +492,13 @@ def build_parser():
     _add_graph_source(p)
     _add_privacy(p)
     p.add_argument("--method", choices=("grid", "hillclimb", "random"), required=True)
-    p.add_argument("--seed", type=int, help="seed for hillclimb and random (default 0)")
-    p.add_argument("--iters", type=positive_int,
-                   help="steps for --method hillclimb (default 10000)")
-    p.add_argument("--step", help="grid step for --method grid, must divide 1 (default 1/16)")
-    p.add_argument("--count", type=positive_int,
-                   help="sample count for --method random (default 20)")
+    for name, kind, what in (("seed", int, "seed"), ("iters", positive_int, "steps"),
+                             ("step", str, "grid step (must divide 1)"),
+                             ("count", positive_int, "sample count")):
+        methods = [m for m, own in ORACLE_METHOD_OPTIONS.items() if name in own]
+        default = ORACLE_METHOD_OPTIONS[methods[0]][name]
+        p.add_argument(f"--{name}", type=kind,
+                       help=f"{what} for --method {' and '.join(methods)} (default {default})")
     p.set_defaults(func=cmd_oracle)
 
     for p in sub.choices.values():

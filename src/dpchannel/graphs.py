@@ -21,16 +21,19 @@ group, holds all n permutations.
 
 Base-vertex rule: a "yes" certificate proves that an automorphism takes
 vertex 0 to every vertex, so every vertex sees the graph as vertex 0 does.
-One BFS from vertex 0 (``graph.base_row``) then gives connectivity, the
-diameter and the shared distance profile, and distance-regularity is
-counted from base 0 alone (:func:`is_distance_regular` with the
-certificate).  On a graph with Hamming labels the verified translations
-also give the whole distance matrix: row i is the base row carried along
-the translation that takes 0 to i.  Every other graph computes its
-all-pairs BFS matrix once, on first use, with :func:`distances`, the
-reference the symmetric shortcuts are tested against.  The rest of the
-library (the distance kernel, the canonical form's distance classes, the
-random sampler's component representatives) reads ``graph.distance_matrix``
+The verified family is the graph's one piece of symmetry evidence,
+``graph.certified_family``: a graph with Hamming labels starts with its
+coordinate translations, :func:`vt_plus_certificate` records there each
+family it has verified, and nothing else writes it.  With it, one
+BFS from vertex 0 (``graph.base_row``) gives connectivity, the diameter and
+the shared distance profile (:func:`common_profile`), distance-regularity is
+counted from base 0 alone (:func:`is_distance_regular`), and a generated
+family gives the whole distance matrix: row i is the base row carried along
+the member that takes 0 to i.  Every other graph computes its all-pairs BFS
+matrix once, on first use, with :func:`distances`, the reference the
+symmetric shortcuts are tested against.  The rest of the library (the
+distance kernel, the canonical form's distance classes, the random
+sampler's component representatives) reads ``graph.distance_matrix``
 instead of running its own BFS or component search.
 
 Classification is exact: a "yes" always carries a checked certificate, a
@@ -138,17 +141,28 @@ class Graph:
         return fam
 
     @cached_property
+    def certified_family(self):
+        """A verified family whose members take vertex 0 to every vertex, or
+        None while none is known.
+
+        Starts as ``translations``; a "yes" of :func:`vt_plus_certificate`
+        records its family here, always after :func:`verify_family` passed.
+        """
+        return self.translations
+
+    @cached_property
     def distance_matrix(self):
         """All-pairs distances, computed once per graph.
 
-        With Hamming labels, row i is the base row carried along the
-        verified translation that takes vertex 0 to i; otherwise
+        With a generated ``certified_family``, row i is the base row carried
+        along the member that takes vertex 0 to i; otherwise
         :func:`distances` runs one BFS per vertex.
         """
-        fam = self.translations
-        if fam is None:
+        fam = self.certified_family
+        if fam is None or fam.explicit is not None:
             return distances(self)
-        return DistanceMatrix(_transported_rows(fam, self.base_row), max(self.base_row))
+        rows = _walk_from_base(fam, self.base_row)
+        return DistanceMatrix(tuple(rows[x] for x in range(self.n)), max(self.base_row))
 
     @cached_property
     def is_connected(self):
@@ -466,11 +480,11 @@ def distance_profile(g, base=0):
 def common_profile(g):
     """The shared distance profile of all base vertices, or None if it varies.
 
-    Verified Hamming translations make every vertex look like vertex 0, so
-    such a graph's profile is read from ``g.base_row`` alone.  Raises
+    A ``certified_family`` makes every vertex look like vertex 0, so such a
+    graph's profile is read from ``g.base_row`` alone.  Raises
     ``DisconnectedGraphError`` when some vertex is unreachable.
     """
-    if g.translations is not None:
+    if g.certified_family is not None:
         return distance_profile(g, 0)
     counts = g.profile_counts
     if any(other != counts[0] for other in counts):
@@ -482,7 +496,7 @@ def common_profile(g):
 # distance-regularity
 # ---------------------------------------------------------------------------
 
-def is_distance_regular(g, cert=None):
+def is_distance_regular(g):
     """Return the intersection array if the graph is distance-regular, else None.
 
     Checks the defining counting property on ordered vertex pairs: at
@@ -490,17 +504,16 @@ def is_distance_regular(g, cert=None):
     stratum closer to the first vertex and b_i neighbors one stratum
     further, with the same constants everywhere.
 
-    ``cert``, this graph's :func:`vt_plus_certificate` answer, is optional
-    evidence: a "yes" (or verified Hamming translations on the graph
-    itself) proves every vertex looks like vertex 0, so only the pairs
-    based at vertex 0 are counted, from the one BFS ``g.base_row``.
-    Otherwise every pair of the all-pairs distance matrix is counted.
+    A ``g.certified_family`` proves every vertex looks like vertex 0, so
+    only the pairs based at vertex 0 are counted, from the one BFS
+    ``g.base_row``.  Otherwise every pair of the all-pairs distance matrix
+    is counted.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("distance-regularity is defined for connected graphs")
     if not g.is_regular:
         return None
-    if (cert is not None and cert.status == "yes") or g.translations is not None:
+    if g.certified_family is not None:
         rows = (g.base_row,)
         diam = max(g.base_row)
     else:
@@ -718,39 +731,30 @@ def hamming_translation_family(u, v):
     return AutomorphismFamily(generators=tuple(gens), orders=(v,) * u)
 
 
-def _base_orbit(fam):
-    """Images of vertex 0 under the products of the generators' powers, one
-    per member; for commuting generators these are the members' images."""
-    orbit = [0]
-    for gen, order in zip(fam.generators, fam.orders):
-        layer = []
-        for x in orbit:
-            for _ in range(order):
-                layer.append(x)
-                x = gen[x]
-        orbit = layer
-    return orbit
+def _walk_from_base(fam, row=None):
+    """Carry vertex 0 along the members of a generated family.
 
-
-def _transported_rows(fam, row):
-    """All distance rows of a graph with a verified generated family.
-
-    Automorphisms preserve distance, so the row of g(x) is the row of x read
-    through g's inverse.  Starting from vertex 0's ``row``, each generator
-    carries the rows of the vertices reached so far, as in
-    :func:`_base_orbit`.  Needs n >= 2, where ``itemgetter`` returns tuples.
+    Returns ``{vertex: value}`` over the images of vertex 0 under the
+    members, so fewer than n keys means two members agree at 0.  Given
+    vertex 0's distance ``row`` in a graph the generators are automorphisms
+    of, each value is that vertex's row: automorphisms preserve distance, so
+    the row of g(x) is the row of x read through g's inverse.  Without a row
+    the values are None.  Needs n >= 2, where ``itemgetter`` returns tuples.
     """
-    rows = {0: row}
+    reached = {0: row}
     for gen, order in zip(fam.generators, fam.orders):
-        inverse = [0] * len(gen)
-        for x, y in enumerate(gen):
-            inverse[y] = x
-        carry = itemgetter(*inverse)
-        for x, r in list(rows.items()):
+        carry = None
+        if row is not None:
+            inverse = [0] * len(gen)
+            for x, y in enumerate(gen):
+                inverse[y] = x
+            carry = itemgetter(*inverse)
+        for x, r in list(reached.items()):
             for _ in range(order - 1):
-                x, r = gen[x], carry(r)
-                rows[x] = r
-    return tuple(rows[x] for x in range(len(row)))
+                x = gen[x]
+                r = carry(r) if carry else None
+                reached[x] = r
+    return reached
 
 
 def verify_family(g, fam):
@@ -783,7 +787,7 @@ def verify_family(g, fam):
         for a, b in itertools.combinations(gens, 2):
             if any(a[b[x]] != b[a[x]] for x in range(n)):
                 return False
-        return len(set(_base_orbit(fam))) == n
+        return len(_walk_from_base(fam)) == n
     if len(fam.explicit) != n or any(len(p) != n for p in fam.explicit):
         raise ValueError("family must consist of n permutations of n vertices")
     for perm in fam.explicit:
@@ -846,6 +850,15 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
     return None
 
 
+def _certified(g, fam, method):
+    """A "yes" for ``fam``, recorded as ``g.certified_family`` once
+    :func:`verify_family` accepts it on ``g``."""
+    if not verify_family(g, fam):
+        raise RuntimeError(f"internal error: {method} failed verification")
+    g.__dict__["certified_family"] = fam
+    return VtPlusCertificate("yes", fam, method)
+
+
 def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     """Decide whether the graph admits a sharply transitive automorphism family.
 
@@ -853,8 +866,9 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     :func:`verify_family`; "no" is only returned with a structural
     obstruction or after exhausting the full automorphism group; "unknown"
     means the search budget ran out.  A "yes" also proves that every vertex
-    looks like vertex 0, which :func:`is_distance_regular` and the ``graph``
-    command use to work from that one base vertex.
+    looks like vertex 0: its family is recorded as ``g.certified_family``,
+    which :func:`common_profile`, :func:`is_distance_regular` and
+    ``g.distance_matrix`` then use to work from that one base vertex.
 
     Fast paths: an irregular degree sequence rules the property out (the
     family would force vertex transitivity); a graph with Hamming labels
@@ -865,8 +879,7 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     """
     n = g.n
     if n == 1:
-        fam = AutomorphismFamily(((0,),))
-        return VtPlusCertificate("yes", fam, "trivial")
+        return _certified(g, AutomorphismFamily(((0,),)), "trivial")
     if not g.is_regular:
         return VtPlusCertificate("no", None, "irregular degree sequence")
 
@@ -879,9 +892,7 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
         sigma = None
     if sigma is not None:
         fam = AutomorphismFamily(generators=(sigma,), orders=(n,))
-        if not verify_family(g, fam):
-            raise RuntimeError("internal error: single-orbit powers failed verification")
-        return VtPlusCertificate("yes", fam, "single-orbit powers")
+        return _certified(g, fam, "single-orbit powers")
 
     try:
         group = automorphism_group(g, effort)
@@ -889,9 +900,7 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     except SearchBudgetError:
         return VtPlusCertificate("unknown", None, "search budget exhausted")
     if fam is not None:
-        if not verify_family(g, fam):
-            raise RuntimeError("internal error: cover-search family failed verification")
-        return VtPlusCertificate("yes", fam, "automorphism cover search")
+        return _certified(g, fam, "automorphism cover search")
     return VtPlusCertificate(
         "no", None,
         f"no sharply transitive family among all {len(group)} automorphisms")

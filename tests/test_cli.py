@@ -164,7 +164,9 @@ class TestGraphReportOracle:
         path.write_text(g.to_json(), encoding="utf-8")
         assert main(["graph", "--graph-file", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == all_pairs_report(g)
-        assert Graph.from_json(g.to_json()).distance_matrix == distances(g)
+        fresh = Graph.from_json(g.to_json())
+        vt_plus_certificate(fresh)      # on a "yes" the matrix is carried from row 0
+        assert fresh.distance_matrix == distances(g)
 
 
 class TestGraphFileSizeCap:

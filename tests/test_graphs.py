@@ -488,3 +488,62 @@ class TestGeneratorCertificates:
         g = build_hamming(u, v)
         monkeypatch.setattr(graphs, "distances", None)      # the matrix must not need it
         assert g.distance_matrix == expected
+
+
+# The complement of a triangle beside a square: 4-regular, not vertex-
+# transitive and not distance-regular, yet the pairs based at vertex 0 alone
+# give constant counts, so only verified evidence may shrink the count to base 0.
+TRIANGLE_SQUARE_COMPLEMENT = Graph(
+    7, set(itertools.combinations(range(7), 2))
+    - {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)})
+PRISM = Graph(6, {(i, (i + d) % 6) for i in range(6) for d in (2, 3)})   # K3 x K2
+
+
+class TestCertifiedFamily:
+    """The one piece of symmetry evidence a graph carries is a family that
+    passed ``verify_family`` on that graph."""
+
+    def test_a_family_for_another_graph_is_never_recorded(self, monkeypatch):
+        g = TRIANGLE_SQUARE_COMPLEMENT
+        rotation = tuple((v + 1) % 7 for v in range(7))     # an automorphism of C7
+        monkeypatch.setattr(graphs, "single_orbit_automorphism", lambda g, effort: rotation)
+        with pytest.raises(RuntimeError, match="single-orbit powers failed verification"):
+            vt_plus_certificate(g)
+        assert g.certified_family is None
+        assert is_distance_regular(g) is None
+
+    def test_a_no_leaves_the_all_pairs_count(self):
+        g = Graph(TRIANGLE_SQUARE_COMPLEMENT.n, TRIANGLE_SQUARE_COMPLEMENT.edges)
+        assert vt_plus_certificate(g).status == "no"
+        assert g.certified_family is None
+        assert is_distance_regular(g) is None
+        assert common_profile(g).counts == (1, 4, 2)       # shared, yet not DR
+
+    def test_a_vertex_transitive_graph_need_not_be_distance_regular(self):
+        g = Graph(PRISM.n, PRISM.edges)
+        cert = vt_plus_certificate(g)
+        assert g.certified_family is cert.family
+        assert is_distance_regular(g) is None
+        assert common_profile(g).counts == (1, 3, 2)
+
+    @pytest.mark.parametrize("g", [
+        build_cycle(9),
+        Graph(12, {(i, (i + d) % 12) for i in range(12) for d in (1, 2)}),
+        Graph(6, {(i, (i + 2) % 6) for i in range(6)}),          # two triangles
+    ], ids=["cycle-9", "circulant-12", "two-triangles"])
+    def test_certified_rotations_transport_rows(self, g, monkeypatch):
+        expected = distances(g)
+        g = Graph(g.n, g.edges)
+        assert vt_plus_certificate(g).method == "single-orbit powers"
+        monkeypatch.setattr(graphs, "distances", None)      # the matrix must not need it
+        assert g.distance_matrix == expected
+
+    def test_a_cover_search_family_counts_from_base_0(self, monkeypatch):
+        g = build_petersen()
+        expected = is_distance_regular(build_petersen())
+        assert vt_plus_certificate(g).method == "automorphism cover search"
+        assert g.certified_family.explicit is not None
+        assert is_distance_regular(g) == expected
+        assert "distance_matrix" not in vars(g)
+        assert g.distance_matrix == distances(build_petersen())
+
