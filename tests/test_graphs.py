@@ -538,7 +538,7 @@ class TestCertifiedFamily:
         monkeypatch.setattr(graphs, "distances", None)      # the matrix must not need it
         assert g.distance_matrix == expected
 
-    def test_a_cover_search_family_counts_from_base_0(self, monkeypatch):
+    def test_a_cover_search_family_counts_from_base_0(self):
         g = build_petersen()
         expected = is_distance_regular(build_petersen())
         assert vt_plus_certificate(g).method == "automorphism cover search"
