@@ -385,6 +385,24 @@ class DpAudit:
         return self.eps_star <= pp.epsilon + tol
 
 
+def _is_invariant(matrix, fam):
+    """Does every generator g of a generated family keep the square matrix,
+    ``M[g(i)][g(j)] == M[i][j]`` for all i and j?
+
+    Rows are compared in their unique lcm form, so equal numerators and
+    equal denominators mean equal rows.
+    """
+    if fam is None or fam.explicit is not None or matrix.cols != matrix.rows:
+        return False
+    nums, dens = matrix.numerators, matrix.denominators
+    for gen in fam.generators:
+        carry = operator.itemgetter(*gen)         # carry(row)[j] == row[gen[j]]
+        if carry(dens) != dens or not all(
+                carry(nums[x]) == row for x, row in zip(gen, nums)):
+            return False
+    return True
+
+
 def dp_audit(matrix, graph):
     """Audit the ratio constraint of every adjacent row pair in every column.
 
@@ -392,13 +410,27 @@ def dp_audit(matrix, graph):
     (as a and b when D_i == D_h), and the worst ratio is kept as an integer
     pair until the end.  The witness is the first strict maximum in
     ``edge_list`` and column order.
+
+    When ``graph.certified_family`` is a generated family and the square
+    matrix is invariant under its generators, only vertex 0's edges are
+    audited, and the result is exactly that of the full scan.  Invariance
+    under the generators is invariance under every member.  With f_i the
+    member taking 0 to i, the map (i, h, j) -> (0, f_i^-1 h, f_i^-1 j)
+    keeps the ratio ``M[i][j] / M[h][j]`` and sends every edge to an edge
+    at 0, so the worst ratio, and any zero facing a positive entry, occurs
+    at vertex 0's edges.  Those edges are (0, h), the first ``degrees[0]``
+    entries of the sorted ``edge_list``, so the first cell attaining the
+    worst ratio, which is the witness, lies in that prefix too.
     """
     if matrix.rows != graph.n:
         raise ValueError("matrix rows must match the graph's vertex count")
     nums, dens = matrix.numerators, matrix.denominators
+    edges = graph.edge_list
+    if _is_invariant(matrix, graph.certified_family):
+        edges = edges[:graph.degrees[0]]
     best_num = best_den = 1
     witness = None
-    for i, h in graph.edge_list:
+    for i, h in edges:
         den_i, den_h = dens[i], dens[h]
         if den_i == den_h:
             pairs = zip(nums[i], nums[h])

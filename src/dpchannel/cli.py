@@ -19,7 +19,9 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from .channels import (
@@ -106,21 +108,61 @@ def _privacy(args):
     return PrivacyParameter.from_epsilon(float(args.epsilon))
 
 
-def _emit(args, payload, **renderers):
-    """Write ``payload`` as JSON, or the lines ``renderers[args.format]()`` returns.
+# How json spells a str and an int (not a bool, whose type is bool).
+_JSON_SPELLING = {str: encode_basestring_ascii, int: int.__repr__}
 
-    Every other format (``text``, and ``csv`` on compare) is a keyword whose
-    callable builds the lines only when that format is written.
+
+def _write_json(write, value, pad="\n"):
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` spells it.
+
+    CPython encodes with ``indent`` in pure Python, one call per value; this
+    writer streams the same bytes through ``write`` instead.  Dicts (with
+    string keys, sorted) and lists or tuples are written item by item,
+    except that a list of strings only (a matrix row, the labels) or of
+    ints only (an edge) is spelt in one join, by ``json``'s own
+    ``encode_basestring_ascii`` or ``int.__repr__``; every other value is
+    spelt by ``json.dumps``.  ``pad`` is the newline and indentation that
+    precede the value's closing bracket.
     """
-    if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value[key], inner)
+            sep = "," + inner
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and (spell := _JSON_SPELLING.get(kinds.pop())):
+            write("[" + inner + ("," + inner).join(map(spell, value)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(write, item, inner)
+            sep = "," + inner
+        write(pad + "]")
     else:
-        out = "\n".join(renderers[args.format]()) + "\n"
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        write(json.dumps(value))
+
+
+def _emit(args, **renderers):
+    """Write what ``renderers[args.format]()`` builds for the chosen format.
+
+    ``json`` builds the payload, written by :func:`_write_json` and a final
+    newline; every other format (``text``, and ``csv`` on compare) builds
+    the lines.  Only the chosen format's callable runs.
+    """
+    built = renderers[args.format]()
+    to_file = args.output and args.output != "-"
+    with open(args.output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            _write_json(fh.write, built)
+            fh.write("\n")
+        else:
+            fh.write("\n".join(built) + "\n")
     return 0
 
 
@@ -193,7 +235,7 @@ def cmd_graph(args):
     payload["vt_plus"] = cert.status
     payload["vt_plus_method"] = cert.method
     lines.append(f"VT+: {cert.status} ({cert.method})")
-    return _emit(args, payload, text=lambda: lines)
+    return _emit(args, json=lambda: payload, text=lambda: lines)
 
 
 def cmd_analyze(args):
@@ -268,7 +310,7 @@ def cmd_analyze(args):
             lines.append("bounds: not applicable (base-dependent profile)")
         return lines
 
-    return _emit(args, payload, text=text)
+    return _emit(args, json=lambda: payload, text=text)
 
 
 def cmd_transform(args):
@@ -283,7 +325,7 @@ def cmd_transform(args):
         cf = canonicalize(matrix, g, effort=args.effort)
     after = dp_audit(cf.matrix, g)
     success_after = posterior_success(uniform, cf.matrix)
-    payload = {
+    return _emit(args, json=lambda: {
         "stage": cf.stage,
         "symmetry": cf.symmetry,
         "merge_map": list(cf.merge_map) if cf.merge_map else None,
@@ -293,8 +335,7 @@ def cmd_transform(args):
         "uniform_success_after": format_fraction(success_after),
         "success_preserved": success_before == success_after,
         "matrix": cf.matrix.to_dict(),
-    }
-    return _emit(args, payload, text=lambda: [
+    }, text=lambda: [
         f"stage: {cf.stage}" + (f" ({cf.symmetry})" if cf.symmetry else ""),
         f"eps_star: {_fmt_eps(before.eps_star)} -> {_fmt_eps(after.eps_star)}",
         f"uniform success: {format_fraction(success_before)} -> {format_fraction(success_after)}"
@@ -309,10 +350,9 @@ def cmd_synth(args):
     pp = _privacy(args)
     bundle = optimal_mechanism(g, pp)
     audit = dp_audit(bundle.matrix, g)
-    payload = bundle.to_dict()
-    payload["utility"] = format_fraction(bundle.c)
-    payload["eps_star"] = audit.eps_star
-    return _emit(args, payload, text=lambda: [
+    return _emit(args, json=lambda: {
+        **bundle.to_dict(), "utility": format_fraction(bundle.c), "eps_star": audit.eps_star,
+    }, text=lambda: [
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
         f"normaliser c: {_frac_float(bundle.c)}",
         f"uniform-prior utility: {_frac_float(bundle.c)} (equals the bound by construction)",
@@ -358,7 +398,7 @@ def cmd_compare(args):
                          f"  vs  {row['leakage_b']:.6f} bits")
         return lines
 
-    return _emit(args, {"rows": rows}, text=text, csv=csv)
+    return _emit(args, json=lambda: {"rows": rows}, text=text, csv=csv)
 
 
 # The options each oracle method reads, with their defaults; every other
@@ -413,7 +453,7 @@ def cmd_oracle(args):
                          f" (gap {format_fraction(gap)})")
         return lines
 
-    return _emit(args, payload, text=text)
+    return _emit(args, json=lambda: payload, text=text)
 
 
 # ---------------------------------------------------------------------------

@@ -589,7 +589,8 @@ def automorphism_group(g, effort=DEFAULT_SEARCH_EFFORT):
 
     Practical for groups up to a few thousand elements; raises
     ``SearchBudgetError`` once more than ``effort`` candidate placements
-    have been tried.
+    have been tried.  The search keeps its own stack, so its depth, one
+    level per placed vertex, is not bounded by Python's recursion limit.
     """
     n = g.n
     colors = _refined_colors(g)
@@ -603,33 +604,35 @@ def automorphism_group(g, effort=DEFAULT_SEARCH_EFFORT):
     img = [-1] * n
     used = [False] * n
     nodes = 0
-
-    def backtrack(k):
-        nonlocal nodes
-        if k == n:
-            perms.append(tuple(img))
-            return
+    # stack[k] iterates the candidates still untried for order[k]
+    stack = [iter(by_color[colors[order[0]]])]
+    while stack:
+        k = len(stack) - 1
         v = order[k]
-        for w in by_color[colors[v]]:
+        for w in stack[-1]:
             if used[w]:
                 continue
             nodes += 1
             if nodes > effort:
                 raise SearchBudgetError("automorphism enumeration exceeded its budget")
-            ok = True
             for t in range(k):
                 u = order[t]
                 if (u in adj[v]) != (img[u] in adj[w]):
-                    ok = False
                     break
-            if ok:
+            else:                           # w extends the partial automorphism
                 img[v] = w
-                used[w] = True
-                backtrack(k + 1)
-                used[w] = False
+                if k + 1 < n:
+                    used[w] = True
+                    stack.append(iter(by_color[colors[order[k + 1]]]))
+                    break
+                perms.append(tuple(img))
                 img[v] = -1
-
-    backtrack(0)
+        else:                               # order[k] is exhausted: undo order[k - 1]
+            stack.pop()
+            if k:
+                u = order[k - 1]
+                used[img[u]] = False
+                img[u] = -1
     return perms
 
 
@@ -639,7 +642,8 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     The permutation is built as the vertex sequence of its single cycle,
     checking partial-automorphism consistency at every extension.  Returns
     the permutation, or None when the exhaustive search ruled one out.
-    Raises ``SearchBudgetError`` when the budget runs out first.
+    Raises ``SearchBudgetError`` when the budget runs out first.  Like
+    :func:`automorphism_group`, it keeps its own stack of n levels.
     """
     n = g.n
     if n == 1:
@@ -653,16 +657,12 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     in_seq = [False] * n
     in_seq[0] = True
     nodes = 0
-
-    def extend():
-        nonlocal nodes
+    # stack[t - 1] iterates the candidates still untried for seq[t]
+    stack = [iter(range(n))]
+    while len(seq) < n:
         t = len(seq)
-        if t == n:
-            a, b = seq[-1], seq[0]
-            return all((a in adj[seq[i]]) == (b in adj[seq[(i + 1) % n]])
-                       for i in range(n))
         a = seq[t - 1]
-        for w in range(n):
+        for w in stack[-1]:
             if in_seq[w]:
                 continue
             nodes += 1
@@ -670,15 +670,18 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
                 raise SearchBudgetError("single-orbit search exceeded its budget")
             if all((a in adj[seq[i]]) == (w in adj[seq[i + 1]]) for i in range(t - 1)):
                 seq.append(w)
+                if t + 1 == n and not all(
+                        (w in adj[seq[i]]) == (0 in adj[seq[(i + 1) % n]]) for i in range(n)):
+                    seq.pop()               # the cycle does not close
+                    continue
                 in_seq[w] = True
-                if extend():
-                    return True
-                in_seq[w] = False
-                seq.pop()
-        return False
-
-    if not extend():
-        return None
+                stack.append(iter(range(n)))
+                break
+        else:                               # seq[t] is exhausted: undo seq[t - 1]
+            stack.pop()
+            if t == 1:
+                return None
+            in_seq[seq.pop()] = False
     perm = [0] * n
     for i in range(n):
         perm[seq[i]] = seq[(i + 1) % n]
@@ -822,13 +825,16 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
     used = [1 << v for v in range(n)]
     nodes = 0
 
-    def backtrack(start):
-        nonlocal nodes
-        if len(chosen) == n:
-            return True
+    def untried(start):
+        """The indices a new depth tries: cands[start:], or none when too
+        few are left to complete the family."""
         if n - len(chosen) > len(cands) - start:
-            return False
-        for idx in range(start, len(cands)):
+            start = len(cands)
+        return iter(range(start, len(cands)))
+
+    stack = [untried(0)]
+    while len(chosen) < n:
+        for idx in stack[-1]:
             p = cands[idx]
             nodes += 1
             if nodes > effort:
@@ -838,16 +844,16 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
             for v in range(n):
                 used[v] |= 1 << p[v]
             chosen.append(p)
-            if backtrack(idx + 1):
-                return True
-            chosen.pop()
+            stack.append(untried(idx + 1))
+            break
+        else:                               # this depth is exhausted: undo its pick
+            stack.pop()
+            if not stack:
+                return None
+            p = chosen.pop()
             for v in range(n):
                 used[v] &= ~(1 << p[v])
-        return False
-
-    if backtrack(0):
-        return AutomorphismFamily(tuple(chosen))
-    return None
+    return AutomorphismFamily(tuple(chosen))
 
 
 def _certified(g, fam, method):

@@ -18,6 +18,7 @@ from dpchannel import (
     as_fraction,
     build_clique,
     build_cycle,
+    build_family,
     build_hamming,
     build_path,
     build_petersen,
@@ -35,6 +36,7 @@ from dpchannel import (
     prior_to_csv,
     random_dp_sample,
     truncated_geometric_fixture,
+    vt_plus_certificate,
 )
 
 from chained_audit import distance_ratio_audit
@@ -486,3 +488,179 @@ def test_capacity_attained_at_uniform_with_distinct_maxima_rows(weights):
                    for j in range(matrix.cols)]
     if len(set(maxima_rows)) == matrix.cols:
         assert gap == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# audits of channels invariant under a certified family
+# ---------------------------------------------------------------------------
+
+class WatchedEdges(tuple):
+    """An edge list that records whether the audit iterated all of it.
+
+    The base-vertex audit slices off vertex 0's edges, and a slice of a
+    tuple subclass is a plain tuple, so only the full scan iterates this.
+    """
+
+    walked = False
+
+    def __iter__(self):
+        self.walked = True
+        return super().__iter__()
+
+
+def watched_audit(matrix, g):
+    """``dp_audit(matrix, g)`` and whether it scanned the whole edge list."""
+    g.certified_family, g.degrees       # both read the edge list: compute them first
+    edges = WatchedEdges(g.edge_list)
+    g.__dict__["edge_list"] = edges
+    try:
+        return dp_audit(matrix, g), edges.walked
+    finally:
+        g.__dict__["edge_list"] = tuple(edges)
+
+
+def full_scan(matrix, g):
+    """The reference: the same edge list on a copy with no certified family."""
+    copy = Graph(g.n, g.edges)
+    assert copy.certified_family is None
+    return dp_audit(matrix, copy)
+
+
+def carried_rows(g, weights):
+    """Row i is ``weights`` carried along the member of ``g.certified_family``
+    that takes 0 to i: ``rows[f(0)][f(k)] == weights[k]`` for every member f."""
+    rows = [None] * g.n
+    for f in g.certified_family.perms:
+        row = [0] * g.n
+        for k, w in enumerate(weights):
+            row[f[k]] = w
+        rows[f[0]] = row
+    return rows
+
+
+def as_channel(rows):
+    return ChannelMatrix(rows, denominators=[sum(row) for row in rows])
+
+
+@st.composite
+def certified_graphs(draw):
+    """Graphs whose ``certified_family`` is generated: Hamming-labelled
+    graphs (their translations), and cycles and circulants certified by
+    ``vt_plus_certificate`` (the powers of a single-orbit automorphism)."""
+    kind = draw(st.sampled_from(["hamming", "cycle", "circulant"]))
+    if kind == "hamming":
+        u, v = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]))
+        g = build_hamming(u, v)
+    else:
+        n = draw(st.integers(3, 12))
+        jumps = {1} if kind == "cycle" else draw(
+            st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+        g = Graph(n, {(i, (i + d) % n) for i in range(n) for d in jumps})
+        assert vt_plus_certificate(g).method == "single-orbit powers"
+    assert g.certified_family.explicit is None
+    return g
+
+
+def audit_fields(audit):
+    return audit.max_ratio, audit.worst_witness, audit.eps_star
+
+
+class TestInvariantAudit:
+    """A channel invariant under ``graph.certified_family`` is audited from
+    vertex 0's edges, with the full scan's result; any other is scanned."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(certified_graphs(), st.data())
+    def test_invariant_channels_read_vertex_0_only(self, g, data):
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n)
+                            .filter(any), label="row 0")
+        matrix = as_channel(carried_rows(g, weights))
+        audit, walked = watched_audit(matrix, g)
+        assert not walked
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    @settings(max_examples=80, deadline=None)
+    @given(certified_graphs(), st.data())
+    def test_one_moved_unit_falls_back_to_the_full_scan(self, g, data):
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n)
+                            .filter(any), label="row 0")
+        rows = carried_rows(g, weights)
+        x = data.draw(st.integers(0, g.n - 1), label="row")
+        a = data.draw(st.sampled_from([j for j in range(g.n) if rows[x][j]]), label="from")
+        b = data.draw(st.sampled_from([j for j in range(g.n) if j != a]), label="to")
+        rows[x][a] -= 1
+        rows[x][b] += 1
+        matrix = as_channel(rows)
+        audit, walked = watched_audit(matrix, g)
+        assert walked
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    @pytest.mark.parametrize("spec", ["hamming:2,3", "hamming:3,2", "hamming:3,3", "cycle:7"])
+    def test_breaking_only_the_last_generator_at_the_last_row_is_caught(self, spec):
+        # Move one unit in the last row, and in every row the other
+        # generators carry it to, so that only the last generator moves the
+        # matrix; for a single generator that is the last row alone.
+        g = build_family(spec)
+        if g.certified_family is None:
+            vt_plus_certificate(g)
+        fam = g.certified_family
+        rows = carried_rows(g, [3] + [1] * (g.n - 1))
+        last = g.n - 1
+        a = next(j for j in range(g.n) if rows[last][j] == 3)
+        b = next(j for j in range(g.n) if j != a)
+        for h in fam.perms[::fam.orders[-1]]:     # the last generator's exponent is 0
+            rows[h[last]][h[a]] -= 1
+            rows[h[last]][h[b]] += 1
+        matrix = as_channel(rows)
+        for gen in fam.generators[:-1]:
+            assert all(matrix.numerators[gen[i]][gen[j]] == matrix.numerators[i][j]
+                       for i in range(g.n) for j in range(g.n))
+        audit, walked = watched_audit(matrix, g)
+        assert walked
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    @pytest.mark.parametrize("spec", ["hamming:2,3", "cycle:8"])
+    def test_all_equal_rows_have_no_witness(self, spec):
+        g = build_family(spec)
+        vt_plus_certificate(g)
+        matrix = as_channel(carried_rows(g, [1] * g.n))
+        audit, walked = watched_audit(matrix, g)
+        assert not walked
+        assert audit_fields(audit) == (1, None, 0.0) == audit_fields(full_scan(matrix, g))
+
+    @pytest.mark.parametrize("spec", ["hamming:3,2", "cycle:9"])
+    def test_an_invariant_zero_is_an_infinite_ratio_at_the_first_cell(self, spec):
+        g = build_family(spec)
+        vt_plus_certificate(g)
+        matrix = as_channel(carried_rows(g, [0] + [1] * (g.n - 1)))
+        audit, walked = watched_audit(matrix, g)
+        assert not walked
+        assert math.isinf(audit.eps_star) and audit.max_ratio is None
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    def test_an_explicit_cover_search_family_is_never_used(self):
+        g = build_petersen()
+        assert vt_plus_certificate(g).method == "automorphism cover search"
+        assert g.certified_family.explicit is not None
+        # the distance kernel is invariant under every automorphism
+        matrix = optimal_mechanism(g, HALF).matrix
+        audit, walked = watched_audit(matrix, g)
+        assert walked
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    def test_a_certified_hamming_kernel_is_audited_from_vertex_0(self):
+        g = build_hamming(4, 4)
+        matrix = optimal_mechanism(g, HALF).matrix
+        audit, walked = watched_audit(matrix, g)
+        assert not walked
+        assert audit.max_ratio == 2
+        assert audit.worst_witness == (0, 1, 0)
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+    def test_a_wider_matrix_is_scanned(self):
+        g = build_hamming(2, 2)
+        rows = [row + [1] for row in carried_rows(g, [2, 1, 1, 0])]
+        matrix = as_channel(rows)
+        audit, walked = watched_audit(matrix, g)
+        assert walked
+        assert audit_fields(audit) == audit_fields(full_scan(matrix, g))

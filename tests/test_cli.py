@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 from fractions import Fraction
@@ -25,7 +26,7 @@ from dpchannel import (
     vt_plus_certificate,
 )
 from dpchannel import graphs
-from dpchannel.cli import build_parser, main
+from dpchannel.cli import _write_json, build_parser, main
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -95,6 +96,11 @@ class TestGraphCommand:
         assert payload["connected"] is False
         assert payload["distance_regular"] is False
         assert "diameter" not in payload
+
+    @pytest.mark.parametrize("spec", ["cycle:1000", "clique:1000"])
+    def test_a_thousand_vertices_do_not_exhaust_the_stack(self, spec, capsys):
+        assert main(["graph", "--family", spec]) == 0
+        assert "VT+: yes (single-orbit powers)" in capsys.readouterr().out
 
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DPCHANNEL_SIZE_CAP", "10")
@@ -704,6 +710,17 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("command", ["synth", "transform"])
+    def test_text_mode_builds_no_payload(self, command, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("JSON payload built in text mode")
+
+        monkeypatch.setattr(ChannelMatrix, "to_dict", refuse)
+        argv = [command, "--family", "clique:6"]
+        argv += ["--ratio", "1/2"] if command == "synth" else ["--matrix", "fixture:geometric"]
+        assert main(argv) == 0
+        assert "eps_star: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["synth", "transform"])
     def test_json_mode_renders_no_text(self, command, monkeypatch, capsys):
         def refuse(self):
             raise AssertionError("text rendering in JSON mode")
@@ -713,3 +730,32 @@ class TestGoldenOutput:
         argv += ["--ratio", "1/2"] if command == "synth" else ["--matrix", "fixture:geometric"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80) | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.text(), max_size=4) | st.lists(st.integers(), max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """The streamed writer spells what `json.dumps(value, sort_keys=True, indent=2)` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_bytes_equal_the_indented_dump(self, value):
+        out = io.StringIO()
+        _write_json(out.write, value)
+        assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", [""], {"": []}, [{}, [[]]], float("nan"), -float("inf"), 2 ** 70,
+        ["\u00e9", "\"q\"", "\x00\x1f\t", "\ud83d\ude00"], {"b": [1, "a"], "a": {"c": None}},
+        [True, False], [True, 1], [0, -2 ** 70], [[0, 1], [1, 2]],
+    ])
+    def test_edge_values(self, value):
+        out = io.StringIO()
+        _write_json(out.write, value)
+        assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)

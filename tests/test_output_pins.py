@@ -6,11 +6,15 @@ base vertex and from generators must not change a byte of output.  The
 graph files are the benchmark's own: the audit-files graphs and the first
 pass of relabelled search-small graphs at seed 7, written by
 ``perfbench/workloads.py``.  Their bytes are pinned as well, so a change to
-the generator shows as an input mismatch rather than an output one.
+the generator shows as an input mismatch rather than an output one.  The
+synth digests were captured while every audit scanned all edges and JSON
+went through ``json.dumps(..., indent=2)``; the one at the size cap is
+taken as the report streams, without holding its 321 MB.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +127,7 @@ SYNTH_JSON_SHA256 = {
     "hamming:3,5": "cd7250d9a188605ae73aaf14865933e81d13e7510a72a17d9de99d1d926fea4f",
     "hamming:4,4": "377b12c7db27f161da1c5651ef1dcede4475b1d99c4c68827f934b0423c240bb",
 }
+SYNTH_CAP_JSON_SHA256 = "adcfd703404198334defc85aae16dff8971b5b15009ca98c71f438fa9eb24a32"
 
 
 def _digest(text):
@@ -181,3 +186,25 @@ def test_every_benchmark_graph_file_is_pinned(benchmark_graph_files):
 def test_synth_json_is_unchanged(spec, capsys):
     argv = ["synth", "--family", spec, "--ratio", "1/2", "--format", "json"]
     assert _run(argv, capsys) == SYNTH_JSON_SHA256[spec]
+
+
+class HashingSink:
+    """A stdout that feeds each write into sha256 and keeps nothing else."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_synth_json_at_the_size_cap_is_unchanged(monkeypatch):
+    # n = 4096: a 321 MB report, digested as it is written
+    sink = HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["synth", "--family", "hamming:6,4", "--ratio", "1/2", "--format", "json"]) == 0
+    assert sink.sha256.hexdigest() == SYNTH_CAP_JSON_SHA256
