@@ -591,11 +591,24 @@ def automorphism_group(g, effort=DEFAULT_SEARCH_EFFORT):
     ``SearchBudgetError`` once more than ``effort`` candidate placements
     have been tried.  The search keeps its own stack, so its depth, one
     level per placed vertex, is not bounded by Python's recursion limit.
+
+    Consistency is read from bitmasks over search positions: ``want[k]``
+    has bit t for each t < k with ``order[t]`` adjacent to ``order[k]``,
+    and while positions 0 .. k-1 are placed, ``seen[w]`` has bit t iff the
+    image of ``order[t]`` is adjacent to w.  So a candidate w for
+    ``order[k]`` extends the partial automorphism iff ``seen[w] ==
+    want[k]``, and placing or undoing position t flips bit t in the masks
+    of its image's neighbours.
     """
     n = g.n
+    adjacency = g.adjacency
     colors = _refined_colors(g)
     order = _search_order(g, colors)
-    adj = [set(a) for a in g.adjacency]
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    want = [sum(1 << pos[u] for u in adjacency[v] if pos[u] < k)
+            for k, v in enumerate(order)]
     by_color = collections.defaultdict(list)
     for v in range(n):
         by_color[colors[v]].append(v)
@@ -603,36 +616,38 @@ def automorphism_group(g, effort=DEFAULT_SEARCH_EFFORT):
     perms = []
     img = [-1] * n
     used = [False] * n
+    seen = [0] * n
     nodes = 0
     # stack[k] iterates the candidates still untried for order[k]
     stack = [iter(by_color[colors[order[0]]])]
     while stack:
         k = len(stack) - 1
-        v = order[k]
+        need = want[k]
         for w in stack[-1]:
             if used[w]:
                 continue
             nodes += 1
             if nodes > effort:
                 raise SearchBudgetError("automorphism enumeration exceeded its budget")
-            for t in range(k):
-                u = order[t]
-                if (u in adj[v]) != (img[u] in adj[w]):
-                    break
-            else:                           # w extends the partial automorphism
-                img[v] = w
-                if k + 1 < n:
-                    used[w] = True
-                    stack.append(iter(by_color[colors[order[k + 1]]]))
-                    break
-                perms.append(tuple(img))
-                img[v] = -1
+            if seen[w] != need:
+                continue
+            img[order[k]] = w               # w extends the partial automorphism
+            if k + 1 < n:
+                used[w] = True
+                bit = 1 << k
+                for x in adjacency[w]:
+                    seen[x] |= bit
+                stack.append(iter(by_color[colors[order[k + 1]]]))
+                break
+            perms.append(tuple(img))
         else:                               # order[k] is exhausted: undo order[k - 1]
             stack.pop()
             if k:
-                u = order[k - 1]
-                used[img[u]] = False
-                img[u] = -1
+                w = img[order[k - 1]]
+                used[w] = False
+                bit = 1 << (k - 1)
+                for x in adjacency[w]:
+                    seen[x] ^= bit
     return perms
 
 
@@ -644,6 +659,12 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     the permutation, or None when the exhaustive search ruled one out.
     Raises ``SearchBudgetError`` when the budget runs out first.  Like
     :func:`automorphism_group`, it keeps its own stack of n levels.
+
+    ``nb[x]`` has bit i iff ``seq[i]`` is placed and adjacent to x.  The
+    cycle maps ``seq[i]`` to ``seq[i + 1]``, so appending w after a =
+    ``seq[t - 1]`` is consistent iff bits 1 .. t-1 of ``nb[w]`` equal bits
+    0 .. t-2 of ``nb[a]``; the closing check compares ``nb[w]`` with
+    ``nb[0]`` the same way, the last vertex w mapping back to 0.
     """
     n = g.n
     if n == 1:
@@ -652,7 +673,10 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
         return None
     if len(set(_refined_colors(g))) > 1:
         return None
-    adj = [set(a) for a in g.adjacency]
+    adjacency = g.adjacency
+    nb = [0] * n
+    for x in adjacency[0]:
+        nb[x] = 1
     seq = [0]
     in_seq = [False] * n
     in_seq[0] = True
@@ -661,27 +685,34 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     stack = [iter(range(n))]
     while len(seq) < n:
         t = len(seq)
-        a = seq[t - 1]
+        mask = (1 << (t - 1)) - 1
+        need = nb[seq[t - 1]] & mask
         for w in stack[-1]:
             if in_seq[w]:
                 continue
             nodes += 1
             if nodes > effort:
                 raise SearchBudgetError("single-orbit search exceeded its budget")
-            if all((a in adj[seq[i]]) == (w in adj[seq[i + 1]]) for i in range(t - 1)):
-                seq.append(w)
-                if t + 1 == n and not all(
-                        (w in adj[seq[i]]) == (0 in adj[seq[(i + 1) % n]]) for i in range(n)):
-                    seq.pop()               # the cycle does not close
-                    continue
-                in_seq[w] = True
-                stack.append(iter(range(n)))
-                break
+            if (nb[w] >> 1) & mask != need:
+                continue
+            if t + 1 == n and nb[w] != (nb[0] >> 1) | (nb[w] & 1) << (n - 2):
+                continue                    # the cycle does not close
+            seq.append(w)
+            in_seq[w] = True
+            bit = 1 << t
+            for x in adjacency[w]:
+                nb[x] |= bit
+            stack.append(iter(range(n)))
+            break
         else:                               # seq[t] is exhausted: undo seq[t - 1]
             stack.pop()
             if t == 1:
                 return None
-            in_seq[seq.pop()] = False
+            w = seq.pop()
+            in_seq[w] = False
+            bit = 1 << (t - 1)
+            for x in adjacency[w]:
+                nb[x] ^= bit
     perm = [0] * n
     for i in range(n):
         perm[seq[i]] = seq[(i + 1) % n]
@@ -816,44 +847,48 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
 
     Any such family can be right-translated to contain the identity, so the
     search fixes the identity and extends with fixed-point-free group
-    elements, tracking per-vertex used images as bitmasks.  Returns None
-    when the exhaustive search proves no family exists.
+    elements.  Returns None when the exhaustive search proves no family
+    exists.
+
+    A permutation p is held as one n*n-bit cell mask, bit ``v*n + p[v]`` for
+    each vertex v, and ``used`` is the union of the chosen members' masks:
+    p disagrees everywhere with every chosen member iff ``used & cell`` is
+    zero.  The masks cost n*n/8 bytes per candidate.
     """
     ident = tuple(range(n))
     cands = [p for p in perms if p != ident and all(p[v] != v for v in range(n))]
-    chosen = [ident]
-    used = [1 << v for v in range(n)]
+    if n - 1 > len(cands):                  # too few to complete the family
+        return None
+    cells = [sum(1 << (v * n + p[v]) for v in range(n)) for p in cands]
+    used = sum(1 << (v * n + v) for v in range(n))
+    picked = []
     nodes = 0
 
     def untried(start):
         """The indices a new depth tries: cands[start:], or none when too
         few are left to complete the family."""
-        if n - len(chosen) > len(cands) - start:
+        if n - 1 - len(picked) > len(cands) - start:
             start = len(cands)
         return iter(range(start, len(cands)))
 
     stack = [untried(0)]
-    while len(chosen) < n:
+    while len(picked) < n - 1:
         for idx in stack[-1]:
-            p = cands[idx]
             nodes += 1
             if nodes > effort:
                 raise SearchBudgetError("family cover search exceeded its budget")
-            if any((used[v] >> p[v]) & 1 for v in range(n)):
+            if used & cells[idx]:
                 continue
-            for v in range(n):
-                used[v] |= 1 << p[v]
-            chosen.append(p)
+            used |= cells[idx]
+            picked.append(idx)
             stack.append(untried(idx + 1))
             break
         else:                               # this depth is exhausted: undo its pick
             stack.pop()
             if not stack:
                 return None
-            p = chosen.pop()
-            for v in range(n):
-                used[v] &= ~(1 << p[v])
-    return AutomorphismFamily(tuple(chosen))
+            used ^= cells[picked.pop()]
+    return AutomorphismFamily((ident,) + tuple(cands[idx] for idx in picked))
 
 
 def _certified(g, fam, method):

@@ -1,15 +1,20 @@
 """Graph construction, distances and symmetry classification."""
 
 import itertools
+import random
 import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_search
 from dpchannel import graphs
 from dpchannel.cli import main
 from dpchannel import (
     AutomorphismFamily,
+    DEFAULT_SEARCH_EFFORT,
     DisconnectedGraphError,
     Graph,
     SearchBudgetError,
@@ -547,3 +552,92 @@ class TestCertifiedFamily:
         assert "distance_matrix" not in vars(g)
         assert g.distance_matrix == distances(build_petersen())
 
+
+
+def _circulant(n, steps):
+    return Graph(n, {(i, (i + d) % n) for i in range(n) for d in steps})
+
+
+def _relabelled(g, perm):
+    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
+
+
+# Graphs whose labels give nothing away, so only the searches can certify them.
+SEARCHED = {
+    "petersen": build_petersen(),
+    "hamming:2,3": build_hamming(2, 3),
+    "hamming:2,4": build_hamming(2, 4),
+    "hamming:4,2": build_hamming(4, 2),
+    "hamming:3,3": build_hamming(3, 3),
+    "cycle:9": build_cycle(9),
+    "C12(1,2)": _circulant(12, (1, 2)),
+    "C13(1,5)": _circulant(13, (1, 5)),
+}
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph or a relabelled circulant on at most 12 vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 12))
+        g = _circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
+        return _relabelled(g, draw(st.permutations(range(n))))
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, {e for e, k in zip(pairs, keep) if k})
+
+
+# small budgets trip inside the searches; the default one completes most
+EFFORTS = st.integers(0, 4000) | st.just(DEFAULT_SEARCH_EFFORT)
+
+
+def _same_nodes(reference, search, effort):
+    """Where ``reference(effort)`` completes in N nodes, ``search`` gives its
+    result at effort N and runs out at N - 1; where it runs out, so does
+    ``search``.  Returns the reference's result, or None when it ran out."""
+    try:
+        result, nodes = reference(effort)
+    except SearchBudgetError:
+        with pytest.raises(SearchBudgetError):
+            search(effort)
+        return None
+    assert search(nodes) == result
+    if nodes:
+        with pytest.raises(SearchBudgetError):
+            search(nodes - 1)
+    return result
+
+
+class TestSearchesMatchTheReference:
+    """The bitmask searches try the same candidates, in the same order, as
+    the searches that re-check every earlier placement
+    (``tests/reference_search.py``): same results, same budget trip points."""
+
+    @staticmethod
+    def _check_all_three(g, effort):
+        _same_nodes(lambda e: reference_search.single_orbit_automorphism(g, e),
+                    lambda e: single_orbit_automorphism(g, e), effort)
+        group = _same_nodes(lambda e: reference_search.automorphism_group(g, e),
+                            lambda e: automorphism_group(g, e), effort)
+        if group is not None:
+            _same_nodes(lambda e: reference_search.sharply_transitive_family(group, g.n, e),
+                        lambda e: graphs._sharply_transitive_family(group, g.n, e), effort)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=small_graphs(), effort=st.integers(0, 20_000))
+    def test_small_graphs(self, g, effort):
+        self._check_all_three(g, effort)
+
+    @pytest.mark.parametrize("name", sorted(SEARCHED))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data(), effort=EFFORTS)
+    def test_relabelled_named_graphs(self, name, data, effort):
+        g = SEARCHED[name]
+        self._check_all_three(_relabelled(g, data.draw(st.permutations(range(g.n)))), effort)
+
+    def test_a_relabelled_hamming_3_3_runs_out_at_the_default_effort(self):
+        perm = list(range(27))
+        random.Random(9).shuffle(perm)
+        cert = vt_plus_certificate(_relabelled(build_hamming(3, 3), perm))
+        assert (cert.status, cert.method) == ("unknown", "search budget exhausted")
