@@ -52,6 +52,7 @@ from .graphs import (
     DistanceMatrix,
     DistanceProfile,
     Graph,
+    InternalError,
     IntersectionArray,
     SearchBudgetError,
     SizeCapError,

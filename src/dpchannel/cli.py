@@ -43,6 +43,7 @@ from .graphs import (
     DEFAULT_SEARCH_EFFORT,
     DEFAULT_SIZE_CAP,
     Graph,
+    InternalError,
     SizeCapError,
     build_family,
     common_profile,
@@ -441,9 +442,10 @@ def cmd_oracle(args):
         payload["utility_bound"] = format_fraction(bound.probability)
 
     def text():
-        lines = [
-            f"method: {report.method}",
-            f"seed: {report.seed}",
+        lines = [f"method: {report.method}"]
+        if report.seed is not None:
+            lines.append(f"seed: {report.seed}")
+        lines += [
             f"trials: {report.trials}",
             f"best utility: {_frac_float(report.best_utility)}",
         ]
@@ -553,6 +555,9 @@ def main(argv=None):
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
+    except InternalError as exc:  # a library bug, not the user's input
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # surface as a clean one-line error, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

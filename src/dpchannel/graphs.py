@@ -68,6 +68,10 @@ class SearchBudgetError(RuntimeError):
     """An exhaustive search ran out of budget before reaching a verdict."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug in the library, not in the input."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
@@ -137,7 +141,7 @@ class Graph:
             return None
         fam = hamming_translation_family(*params)
         if not verify_family(self, fam):
-            raise RuntimeError("internal error: translation family failed verification")
+            raise InternalError("internal error: translation family failed verification")
         return fam
 
     @cached_property
@@ -895,7 +899,7 @@ def _certified(g, fam, method):
     """A "yes" for ``fam``, recorded as ``g.certified_family`` once
     :func:`verify_family` accepts it on ``g``."""
     if not verify_family(g, fam):
-        raise RuntimeError(f"internal error: {method} failed verification")
+        raise InternalError(f"internal error: {method} failed verification")
     g.__dict__["certified_family"] = fam
     return VtPlusCertificate("yes", fam, method)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import ChannelMatrix, as_fraction, dp_audit
-from .graphs import DisconnectedGraphError, SizeCapError, UNREACHABLE
+from .graphs import DisconnectedGraphError, InternalError, SizeCapError, UNREACHABLE
 from .mechanisms import BaseDependentProfileError, optimal_mechanism
 
 GRID_VERTEX_CAP = 3
@@ -31,23 +31,29 @@ GRID_VERTEX_CAP = 3
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one oracle run; the best matrix always re-passes the audit."""
+    """Outcome of one oracle run; the best matrix always re-passes the audit.
+
+    ``seed`` is None for the grid search, which draws nothing at random,
+    and is then left out of the report.
+    """
 
     method: str
-    seed: int
+    seed: int | None
     trials: int
     best_utility: Fraction
     best_matrix: ChannelMatrix
 
     def to_dict(self):
-        return {
+        d = {
             "method": self.method,
-            "seed": self.seed,
             "trials": self.trials,
             "best_utility": f"{self.best_utility.numerator}/{self.best_utility.denominator}",
             "best_utility_float": float(self.best_utility),
             "best_matrix": self.best_matrix.to_dict(),
         }
+        if self.seed is not None:
+            d["seed"] = self.seed
+        return d
 
 
 def _compositions(total, parts):
@@ -120,9 +126,9 @@ def grid_search_optimal(graph, pp, step):
 
     backtrack(0)
     if best_assign is None:
-        raise RuntimeError("grid search found no feasible matrix, which cannot happen")
+        raise InternalError("grid search found no feasible matrix, which cannot happen")
     matrix = ChannelMatrix([cands[c] for c in best_assign], denominators=[q] * n)
-    return SearchReport("grid", 0, trials, Fraction(best_total, q * n), matrix)
+    return SearchReport("grid", None, trials, Fraction(best_total, q * n), matrix)
 
 
 def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
@@ -262,5 +268,5 @@ def random_dp_sample(graph, pp, count, seed):
         matrix = ChannelMatrix(rows, denominators=dens)
         audit = dp_audit(matrix, graph)
         if audit.max_ratio is None or audit.max_ratio > pp.inv_ratio:
-            raise RuntimeError("sampler produced an infeasible channel, which cannot happen")
+            raise InternalError("sampler produced an infeasible channel, which cannot happen")
         yield matrix

@@ -15,6 +15,7 @@ from dpchannel import (
     UNREACHABLE,
     AutomorphismFamily,
     ChannelMatrix,
+    DpAudit,
     Graph,
     PrivacyParameter,
     build_clique,
@@ -25,7 +26,7 @@ from dpchannel import (
     truncated_geometric_fixture,
     vt_plus_certificate,
 )
-from dpchannel import graphs
+from dpchannel import graphs, oracle
 from dpchannel.cli import _write_json, build_parser, main
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
@@ -101,6 +102,21 @@ class TestGraphCommand:
     def test_a_thousand_vertices_do_not_exhaust_the_stack(self, spec, capsys):
         assert main(["graph", "--family", spec]) == 0
         assert "VT+: yes (single-orbit powers)" in capsys.readouterr().out
+
+    def test_a_failed_internal_invariant_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "verify_family", lambda g, fam: False)
+        assert main(["graph", "--family", "cycle:7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: single-orbit powers failed verification\n"
+
+    def test_an_infeasible_sample_is_an_internal_error(self, capsys, monkeypatch):
+        infinite = DpAudit(float("inf"), None, None)
+        monkeypatch.setattr(oracle, "dp_audit", lambda matrix, graph: infinite)
+        assert main(["oracle", "--family", "cycle:5", "--ratio", "1/2",
+                     "--method", "random", "--count", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: sampler produced an infeasible channel, which cannot happen\n")
 
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DPCHANNEL_SIZE_CAP", "10")
@@ -318,7 +334,7 @@ class TestOptionSurface:
             captured.err)
 
     @pytest.mark.parametrize("method, given, seed, trials", [
-        ("grid", ["--step", "1/4"], 0, 75),
+        ("grid", ["--step", "1/4"], None, 75),
         ("hillclimb", ["--iters", "7", "--seed", "4"], 4, 7),
         ("random", ["--count", "3", "--seed", "4"], 4, 3),
     ], ids=["grid", "hillclimb", "random"])
@@ -327,7 +343,21 @@ class TestOptionSurface:
         assert main(["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", method,
                      "--format", "json"] + given) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["seed"], payload["trials"]) == (seed, trials)
+        assert (payload.get("seed"), payload["trials"]) == (seed, trials)
+
+    @pytest.mark.parametrize("method, given, seed_line", [
+        ("grid", ["--step", "1/4"], None),
+        ("hillclimb", ["--iters", "7", "--seed", "4"], "seed: 4"),
+        ("random", ["--count", "3", "--seed", "4"], "seed: 4"),
+    ], ids=["grid", "hillclimb", "random"])
+    def test_only_the_seeded_methods_report_a_seed(self, method, given, seed_line, capsys):
+        argv = ["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", method] + given
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"method: {method}"
+        assert [x for x in lines if x.startswith("seed")] == ([seed_line] if seed_line else [])
+        assert main(argv + ["--format", "json"]) == 0
+        assert ("seed" in json.loads(capsys.readouterr().out)) == (seed_line is not None)
 
 
 class TestAnalyzeCommand:

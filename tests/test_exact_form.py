@@ -148,8 +148,8 @@ class TestOutputsArePinned:
         assert sha(out) == digest
 
     @pytest.mark.parametrize("ratio, digest", [
-        ("1/2", "7b57759aebd558b0ae4cfdefc034b4daa7e770a42b97aabbf3bc258ced38dfa6"),
-        ("2/3", "7f24b3a4a93c08e19127d051585f221a375b0ce5ef0a7370ca227b78bc0edf56"),
+        ("1/2", "7cceb908fd81ea5f2c07a9741a795e181e6b6a63cb45b53f642e573df9048a13"),
+        ("2/3", "e9193eb46900fb4afb32e8b906412d740c501fbb884651d04217c535a1f0f728"),
     ])
     def test_grid_oracle_json(self, ratio, digest, capsys):
         assert main(["oracle", "--family", "clique:3", "--ratio", ratio, "--method", "grid",

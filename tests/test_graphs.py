@@ -17,6 +17,7 @@ from dpchannel import (
     DEFAULT_SEARCH_EFFORT,
     DisconnectedGraphError,
     Graph,
+    InternalError,
     SearchBudgetError,
     SizeCapError,
     UNREACHABLE,
@@ -451,18 +452,18 @@ class TestGeneratorCertificates:
         gens, orders = CORRUPTED_TRANSLATIONS[kind]
         monkeypatch.setattr(graphs, "hamming_translation_family",
                             lambda u, v: AutomorphismFamily(generators=gens, orders=orders))
-        with pytest.raises(RuntimeError, match="translation family failed verification"):
+        with pytest.raises(InternalError, match="translation family failed verification"):
             vt_plus_certificate(build_hamming(2, 3))
-        assert main(["graph", "--family", "hamming:2,3"]) == 1
+        assert main(["graph", "--family", "hamming:2,3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "failed verification" in captured.err
 
     def test_a_two_cycle_sigma_never_yields_yes(self, monkeypatch, capsys):
         monkeypatch.setattr(graphs, "single_orbit_automorphism", lambda g, effort: ROTATE_BY_TWO)
-        with pytest.raises(RuntimeError, match="single-orbit powers failed verification"):
+        with pytest.raises(InternalError, match="single-orbit powers failed verification"):
             vt_plus_certificate(build_cycle(6))
-        assert main(["graph", "--family", "cycle:6"]) == 1
+        assert main(["graph", "--family", "cycle:6"]) == 3
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("orders", [(3,), (3, 2)])
