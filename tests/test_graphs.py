@@ -563,7 +563,7 @@ def _relabelled(g, perm):
     return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
 
 
-# Graphs whose labels give nothing away, so only the searches can certify them.
+# Relabelled without vertex labels, these graphs are certified by the searches alone.
 SEARCHED = {
     "petersen": build_petersen(),
     "hamming:2,3": build_hamming(2, 3),
