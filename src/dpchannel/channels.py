@@ -15,6 +15,14 @@ the transforms, the oracle searches and ``utility`` use ``scaled_rows``,
 and the random sampler builds integer rows directly.  ``Fraction`` values
 appear at the API edge (``entries``, ``entry``, ``column``, the results).
 
+Every probability value a caller or a file supplies, matrix cells and prior
+values alike, is read by one cell reader, ``_read_rows``: it turns each row
+of cells into integer numerators over one common denominator.  A cell whose
+stripped text is ASCII ``a`` or ``a/b`` (b nonzero, not necessarily
+reduced) is read with ``int``; each distinct text is read once per call;
+every other cell goes through :func:`as_fraction`, so accepted syntax, float
+handling and error messages are exactly those of ``Fraction``.
+
 The privacy audit follows the discrete ratio formulation: a matrix satisfies
 the epsilon constraint for a graph iff every pair of adjacent rows keeps
 each column within a factor e^epsilon.  Quotients 0/0 count as ratio 1
@@ -56,6 +64,54 @@ def as_fraction(x):
     if isinstance(x, float):
         return Fraction(repr(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact probability")
+
+
+class _TextCells(dict):
+    """Memo of cell text -> ``(numerator, denominator)``, reading each text once."""
+
+    def __missing__(self, text):
+        num, slash, den = text.strip().partition("/")
+        if not slash:
+            den = "1"
+        if num.isascii() and num.isdecimal() and den.isascii() and den.isdecimal() \
+                and int(den) != 0:
+            pair = int(num), int(den)
+        else:
+            pair = _exact_pair(text)
+        self[text] = pair
+        return pair
+
+
+def _exact_pair(value):
+    """``(numerator, denominator)`` of ``as_fraction(value)``; a zero
+    denominator is a ValueError that names the cell."""
+    if type(value) is int:
+        return value, 1
+    try:
+        q = as_fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"cell {value!r} has a zero denominator") from None
+    return q.numerator, q.denominator
+
+
+def _read_rows(rows):
+    """The one reader of probability values: ``(nums, dens)``, where row i of
+    ``rows`` equals ``nums[i]`` over the positive integer ``dens[i]``.
+
+    Cells are anything :func:`as_fraction` reads.  ``dens[i]`` is the lcm of
+    the row's cell denominators as written, so it need not be the lowest;
+    the ``ChannelMatrix`` constructor reduces rows to the lcm form.
+    """
+    texts = _TextCells()
+    nums, dens = [], []
+    for row in rows:
+        pairs = [texts[c] if type(c) is str else _exact_pair(c) for c in row]
+        row_dens = {d for _, d in pairs}
+        den = math.lcm(*row_dens)
+        scale = {d: den // d for d in row_dens}
+        nums.append(tuple([n * scale[d] for n, d in pairs]))
+        dens.append(den)
+    return nums, dens
 
 
 def log2_fraction(q):
@@ -119,12 +175,12 @@ class Prior:
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(as_fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if any(p < 0 for p in probs):
+        (nums,), (den,) = _read_rows([self.probs])
+        if any(x < 0 for x in nums):
             raise ValueError("probabilities must be non-negative")
-        if sum(probs) != 1:
+        if sum(nums) != den:
             raise ValueError("prior must sum exactly to 1")
+        object.__setattr__(self, "probs", tuple(Fraction(x, den) for x in nums))
 
     @classmethod
     def uniform(cls, n):
@@ -147,23 +203,21 @@ class ChannelMatrix:
     ``sum(numerators[i]) == denominators[i]``.  ``entries``, the same values
     as a tuple of ``Fraction`` tuples, is derived on first access.
 
-    ``entries`` may hold anything :func:`as_fraction` reads.  When
-    ``denominators`` is given, ``entries`` holds integer numerators instead
-    and row i is ``entries[i]`` over ``denominators[i]``.  Instances are
-    immutable, compare and hash by value and labels.
+    ``entries`` may hold anything :func:`as_fraction` reads, and is read by
+    the module's one cell reader into integer rows.  When ``denominators``
+    is given, ``entries`` holds integer numerators instead and row i is
+    ``entries[i]`` over ``denominators[i]``.  Either way the rows are
+    validated and reduced to the lcm form.  Instances are immutable,
+    compare and hash by value and labels.
     """
 
     def __init__(self, entries, row_labels=None, col_labels=None, *, denominators=None):
         if denominators is None:
-            values = tuple(tuple(as_fraction(x) for x in row) for row in entries)
-            dens = tuple(math.lcm(*(x.denominator for x in row)) for row in values)
-            nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                         for row, den in zip(values, dens))
-        else:
-            nums = tuple(tuple(row) for row in entries)
-            dens = tuple(denominators)
-            if len(dens) != len(nums) or any(den <= 0 for den in dens):
-                raise ValueError("every row needs one positive denominator")
+            entries, denominators = _read_rows(entries)
+        nums = tuple(tuple(row) for row in entries)
+        dens = tuple(denominators)
+        if len(dens) != len(nums) or any(den <= 0 for den in dens):
+            raise ValueError("every row needs one positive denominator")
         if not nums or not nums[0]:
             raise ValueError("a channel matrix needs at least one row and column")
         m = len(nums[0])
@@ -174,14 +228,13 @@ class ChannelMatrix:
                 raise ValueError("probabilities must be non-negative")
             if sum(row) != den:
                 raise ValueError("every row must sum exactly to 1")
-        if denominators is not None:
-            # Reduce to the lcm form; a row's sum is its denominator, so the
-            # gcd of its numerators divides the denominator too.
-            gcds = [math.gcd(*row) for row in nums]
-            if any(g > 1 for g in gcds):
-                nums = tuple(row if g == 1 else tuple(x // g for x in row)
-                             for row, g in zip(nums, gcds))
-                dens = tuple(den // g for den, g in zip(dens, gcds))
+        # Reduce to the lcm form; a row's sum is its denominator, so the gcd
+        # of its numerators divides the denominator too.
+        gcds = [math.gcd(*row) for row in nums]
+        if any(g > 1 for g in gcds):
+            nums = tuple(row if g == 1 else tuple(x // g for x in row)
+                         for row, g in zip(nums, gcds))
+            dens = tuple(den // g for den, g in zip(dens, gcds))
         rl = tuple(str(x) for x in row_labels) if row_labels is not None \
             else tuple(str(i) for i in range(len(nums)))
         cl = tuple(str(x) for x in col_labels) if col_labels is not None \
@@ -300,12 +353,8 @@ class ChannelMatrix:
         if len(rows) < 2:
             raise ValueError("matrix CSV needs a header row and at least one data row")
         col_labels = [c.strip() for c in rows[0][1:]]
-        row_labels = []
-        entries = []
-        for r in rows[1:]:
-            row_labels.append(r[0].strip())
-            entries.append([as_fraction(c) for c in r[1:]])
-        return cls.from_rows(entries, row_labels, col_labels)
+        row_labels = [r[0].strip() for r in rows[1:]]
+        return cls.from_rows([r[1:] for r in rows[1:]], row_labels, col_labels)
 
     def to_dict(self):
         return {
@@ -319,7 +368,13 @@ class ChannelMatrix:
 
     @classmethod
     def from_dict(cls, d):
-        return cls.from_rows(d["entries"], d.get("row_labels"), d.get("col_labels"))
+        """Build from ``to_dict``'s form, an object whose ``entries`` is a
+        list of rows, each a list of cells; labels are optional."""
+        entries = d.get("entries") if isinstance(d, dict) else None
+        lists = (list, tuple)
+        if not isinstance(entries, lists) or not all(isinstance(r, lists) for r in entries):
+            raise ValueError("matrix JSON must be an object whose 'entries' is a list of row lists")
+        return cls.from_rows(entries, d.get("row_labels"), d.get("col_labels"))
 
     @classmethod
     def from_json(cls, text):
@@ -338,7 +393,8 @@ def prior_to_csv(prior, labels=None):
 def prior_from_csv(text):
     """Parse ``label,value`` lines; returns the prior and the label order.
 
-    A label given on two lines is refused.
+    A label given on two lines is refused.  Values are read by the matrix
+    cells' reader, through ``Prior``.
     """
     values = {}
     for row in csv.reader(io.StringIO(text)):
@@ -349,7 +405,7 @@ def prior_from_csv(text):
         label = row[0].strip()
         if label in values:
             raise ValueError(f"prior label {label!r} given twice")
-        values[label] = as_fraction(row[1])
+        values[label] = row[1]
     return Prior(tuple(values.values())), tuple(values)
 
 
@@ -478,23 +534,30 @@ def posterior_success(prior, matrix):
     return Fraction(sum(tops), den)
 
 
-def posterior_min_entropy(prior, matrix):
-    return -log2_fraction(posterior_success(prior, matrix))
+def posterior_min_entropy(prior, matrix, *, success=None):
+    """-log2 of the posterior success; pass ``success`` when
+    ``posterior_success(prior, matrix)`` is already known."""
+    if success is None:
+        success = posterior_success(prior, matrix)
+    return -log2_fraction(success)
 
 
-def leakage(prior, matrix):
+def leakage(prior, matrix, *, success=None):
     """Min-entropy leakage in bits: prior minus posterior guessing entropy.
 
     Evaluated as a single log of the exact success ratio, so independence
-    gives exactly 0.0.
+    gives exactly 0.0.  Pass ``success`` when ``posterior_success(prior,
+    matrix)`` is already known.
     """
-    ratio = posterior_success(prior, matrix) / prior.max_prob
-    return log2_fraction(ratio)
+    if success is None:
+        success = posterior_success(prior, matrix)
+    return log2_fraction(success / prior.max_prob)
 
 
 def column_maxima_sum(matrix):
     """Exact sum of the column maxima (the quantity whose log is the capacity)."""
-    return sum(matrix.column_maxima, Fraction(0))
+    tops, den = matrix._weighted_column_maxima([1] * matrix.rows)
+    return Fraction(sum(tops), den)
 
 
 def min_capacity(matrix):

@@ -85,7 +85,7 @@ def _load_matrix(path):
         return truncated_geometric_fixture()
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return ChannelMatrix.from_json(text)
     return ChannelMatrix.from_csv(text)
 
@@ -258,8 +258,8 @@ def cmd_analyze(args):
         "prior_min_entropy_bits": min_entropy(prior),
         "max_prior_prob": format_fraction(prior.max_prob),
         "posterior_success": format_fraction(success),
-        "posterior_min_entropy_bits": posterior_min_entropy(prior, matrix),
-        "leakage_bits": leakage(prior, matrix),
+        "posterior_min_entropy_bits": posterior_min_entropy(prior, matrix, success=success),
+        "leakage_bits": leakage(prior, matrix, success=success),
         "min_capacity_bits": min_capacity(matrix),
         "column_maxima_sum": format_fraction(column_maxima_sum(matrix)),
     }
@@ -270,8 +270,8 @@ def cmd_analyze(args):
         if shared is not None:
             ent_bound = bounds_mod.posterior_entropy_bound(shared, pp)
             util_bound = bounds_mod.utility_bound(shared, pp)
-            uniform = Prior.uniform(matrix.rows)
-            uniform_success = posterior_success(uniform, matrix)
+            uniform_success = success if args.prior is None else \
+                posterior_success(Prior.uniform(matrix.rows), matrix)
             payload.update({
                 "posterior_entropy_bound_bits": ent_bound.bits,
                 "utility_bound": format_fraction(util_bound.probability),
@@ -373,12 +373,14 @@ def cmd_compare(args):
         priors.append((os.path.basename(path), _load_prior(path, left)))
     rows = []
     for name, prior in priors:
+        success_a = posterior_success(prior, left)
+        success_b = posterior_success(prior, right)
         rows.append({
             "prior": name,
-            "utility_a": format_fraction(posterior_success(prior, left)),
-            "utility_b": format_fraction(posterior_success(prior, right)),
-            "leakage_a": leakage(prior, left),
-            "leakage_b": leakage(prior, right),
+            "utility_a": format_fraction(success_a),
+            "utility_b": format_fraction(success_b),
+            "leakage_a": leakage(prior, left, success=success_a),
+            "leakage_b": leakage(prior, right, success=success_b),
         })
 
     def csv():

@@ -468,6 +468,32 @@ class TestAnalyzeCommand:
                      "--ratio", "1/2", "--prior", str(prior)]) == 1
         assert "error: prior label 'A' given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("m.json", '{"row_labels": ["x", "y"]}',
+         "matrix JSON must be an object whose 'entries' is a list of row lists"),
+        ("m.json", '{"entries": "abc"}',
+         "matrix JSON must be an object whose 'entries' is a list of row lists"),
+        ("m.json", '{"entries": ["ab", "cd"]}',
+         "matrix JSON must be an object whose 'entries' is a list of row lists"),
+        ("m.json", '[["1/2", "1/2"], ["1/2", "1/2"]]',
+         "matrix JSON must be an object whose 'entries' is a list of row lists"),
+        ("m.csv", ",a,b\nx,1/0,1\ny,1/2,1/2\n", "cell '1/0' has a zero denominator"),
+        ("m.json", '{"entries": [["1", "0"], ["0/0", "1"]]}', "cell '0/0' has a zero denominator"),
+    ])
+    def test_malformed_matrix_input_is_named(self, name, text, message, tmp_path, capsys):
+        matrix = tmp_path / name
+        matrix.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--family", "clique:2", "--matrix", str(matrix),
+                     "--ratio", "1/2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_zero_denominator_in_a_prior_is_named(self, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("x0,1/2\nx1, 1/0\n", encoding="utf-8")
+        assert main(["analyze", "--family", "clique:2", "--matrix", "fixture:geometric",
+                     "--ratio", "1/2", "--prior", str(prior)]) == 1
+        assert capsys.readouterr().err == "error: cell ' 1/0' has a zero denominator\n"
+
     @pytest.mark.parametrize("value", ["-0.1", "-1e-12", "nan"])
     def test_negative_tolerance_is_refused(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

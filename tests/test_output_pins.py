@@ -9,10 +9,15 @@ pass of relabelled search-small graphs at seed 7, written by
 the generator shows as an input mismatch rather than an output one.  The
 synth digests were captured while every audit scanned all edges and JSON
 went through ``json.dumps(..., indent=2)``; the one at the size cap is
-taken as the report streams, without holding its 321 MB.
+taken as the report streams, without holding its 321 MB.  The audit-files
+deck at seed 7 (``analyze``, ``transform`` and ``compare`` on the
+benchmark's matrix and prior files) was pinned while every cell was still
+read as one ``Fraction``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -139,16 +144,20 @@ def _run(argv, capsys):
     return _digest(capsys.readouterr().out)
 
 
-@pytest.fixture(scope="module")
-def benchmark_graph_files(tmp_path_factory):
-    """The benchmark's graph files, written by its own workload generator."""
-    import sys
-
+def _workloads():
+    """The benchmark's own workload generator."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def benchmark_graph_files(tmp_path_factory):
+    """The benchmark's graph files, written by its own workload generator."""
+    workloads = _workloads()
     workdir = tmp_path_factory.mktemp("bench")
     paths = {}
     for name, graph, *_ in workloads.AUDIT_GRAPHS:
@@ -208,3 +217,31 @@ def test_synth_json_at_the_size_cap_is_unchanged(monkeypatch):
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["synth", "--family", "hamming:6,4", "--ratio", "1/2", "--format", "json"]) == 0
     assert sink.sha256.hexdigest() == SYNTH_CAP_JSON_SHA256
+
+
+# The audit-files deck at seed 7: the digest of its input files, and per
+# command the digest of every request's JSON output in request-id order.
+AUDIT_DECK_SHA256 = {
+    "inputs": "0baed80c714a6bd973dd408c0ef6f92ba16de7e7b09d9dee5a50dd379159916c",
+    "analyze": "eb607fdf05b9a9df4f6d117e400351b0bea2a3d264c0af4060a73a938566160f",
+    "transform": "978a809307924380369f59e497703387e0302139c684a10d2ab363f19d900f33",
+    "compare": "dc04c79462e8f03d4c460efe3021757f36c60b4e8c7cda713dd8f9751fab1066",
+}
+
+
+def audit_deck_digests(workdir):
+    """Run every request of the seed-7 audit-files deck with ``--format json``."""
+    deck = _workloads().build("audit-files", 7, str(workdir))
+    digests = {name: hashlib.sha256() for name in AUDIT_DECK_SHA256}
+    for name in sorted(deck.files):
+        digests["inputs"].update(f"{name}\0{deck.files[name]}\n".encode())
+    for req in sorted((req for p in deck.passes for req in p), key=lambda req: req.rid):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(req.argv + ["--format", "json"]) == 0, req.rid
+        digests[req.command].update(f"{req.rid}\0{_digest(out.getvalue())}\n".encode())
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+def test_audit_deck_json_is_unchanged(tmp_path):
+    assert audit_deck_digests(tmp_path) == AUDIT_DECK_SHA256
