@@ -163,8 +163,8 @@ class PrivacyParameter:
 
     @classmethod
     def from_epsilon(cls, eps):
-        if eps < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= eps < math.inf:
+            raise ValueError("epsilon must be a finite non-negative number")
         return cls(Fraction(math.exp(-eps)))
 
 

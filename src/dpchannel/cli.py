@@ -15,6 +15,7 @@ byte-identical reports.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,11 +30,12 @@ from .channels import (
     DEFAULT_LN_TOL,
     PrivacyParameter,
     Prior,
+    as_fraction,
     column_maxima_sum,
     dp_audit,
     format_fraction,
     leakage,
-    min_capacity,
+    log2_fraction,
     min_entropy,
     posterior_min_entropy,
     posterior_success,
@@ -101,9 +103,17 @@ def _load_prior(path, matrix):
     return prior
 
 
+def _exact(option, text):
+    """``as_fraction(text)``, naming the option and text on a zero denominator."""
+    try:
+        return as_fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option} {text!r} has a zero denominator") from None
+
+
 def _privacy(args):
     if args.ratio is not None:
-        return PrivacyParameter.from_ratio(args.ratio)
+        return PrivacyParameter.from_ratio(_exact("--ratio", args.ratio))
     if args.epsilon == "ln2":
         return PrivacyParameter.from_ratio(Fraction(1, 2))
     return PrivacyParameter.from_epsilon(float(args.epsilon))
@@ -246,7 +256,9 @@ def cmd_analyze(args):
     prior = _load_prior(args.prior, matrix) if args.prior else Prior.uniform(matrix.rows)
 
     audit = dp_audit(matrix, g)
-    success = posterior_success(prior, matrix)
+    maxima_sum = column_maxima_sum(matrix)
+    uniform_success = maxima_sum / matrix.rows
+    success = posterior_success(prior, matrix) if args.prior else uniform_success
     payload = {
         "eps_star": None if math.isinf(audit.eps_star) else audit.eps_star,
         "eps_star_infinite": math.isinf(audit.eps_star),
@@ -260,8 +272,8 @@ def cmd_analyze(args):
         "posterior_success": format_fraction(success),
         "posterior_min_entropy_bits": posterior_min_entropy(prior, matrix, success=success),
         "leakage_bits": leakage(prior, matrix, success=success),
-        "min_capacity_bits": min_capacity(matrix),
-        "column_maxima_sum": format_fraction(column_maxima_sum(matrix)),
+        "min_capacity_bits": log2_fraction(maxima_sum),
+        "column_maxima_sum": format_fraction(maxima_sum),
     }
 
     ent_bound = util_bound = None
@@ -270,8 +282,6 @@ def cmd_analyze(args):
         if shared is not None:
             ent_bound = bounds_mod.posterior_entropy_bound(shared, pp)
             util_bound = bounds_mod.utility_bound(shared, pp)
-            uniform_success = success if args.prior is None else \
-                posterior_success(Prior.uniform(matrix.rows), matrix)
             payload.update({
                 "posterior_entropy_bound_bits": ent_bound.bits,
                 "utility_bound": format_fraction(util_bound.probability),
@@ -424,7 +434,7 @@ def cmd_oracle(args):
     g = _load_graph(args)
     pp = _privacy(args)
     if args.method == "grid":
-        report = grid_search_optimal(g, pp, Fraction(opt["step"]))
+        report = grid_search_optimal(g, pp, _exact("--step", opt["step"]))
     elif args.method == "hillclimb":
         report = hillclimb_utility(g, pp, iters=opt["iters"], seed=opt["seed"])
     else:
@@ -488,7 +498,9 @@ def _add_privacy(p):
     grp.add_argument("--epsilon", help="epsilon as a decimal, or the literal ln2")
 
 
+@functools.cache
 def build_parser():
+    """The ``dpchannel`` parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="dpchannel",
         description="Audit, bound and synthesise privacy mechanisms over graph domains.")

@@ -21,10 +21,10 @@ group, holds all n permutations.
 
 Base-vertex rule: a "yes" certificate proves that an automorphism takes
 vertex 0 to every vertex, so every vertex sees the graph as vertex 0 does.
-The verified family is the graph's one piece of symmetry evidence,
-``graph.certified_family``: a graph with Hamming labels starts with its
-coordinate translations, :func:`vt_plus_certificate` records there each
-family it has verified, and nothing else writes it.  With it, one
+The graph's one piece of symmetry evidence is ``graph.certificate``, a
+verified "yes" (``graph.certified_family`` is its family): the coordinate
+translations :func:`build_hamming` records, or a family
+:func:`vt_plus_certificate` has found.  With it, one
 BFS from vertex 0 (``graph.base_row``) gives connectivity, the diameter and
 the shared distance profile (:func:`common_profile`), distance-regularity is
 counted from base 0 alone (:func:`is_distance_regular`), and a generated
@@ -133,26 +133,17 @@ class Graph:
         return tuple(_bfs(self, 0))
 
     @cached_property
-    def translations(self):
-        """The verified coordinate-translation family of a graph with Hamming
-        labels (see :func:`hamming_translation_family`), else None."""
-        params = _hamming_parameters(self)
-        if params is None:
-            return None
-        fam = hamming_translation_family(*params)
-        if not verify_family(self, fam):
-            raise InternalError("internal error: translation family failed verification")
-        return fam
+    def certificate(self):
+        """The verified "yes" :class:`VtPlusCertificate`, or None while none
+        is known; only :func:`_certified` records one.  A graph not built by
+        :func:`build_hamming` starts with the builder's translations only if
+        it equals the builder's graph, labels included."""
+        return _builder_translations(self)
 
-    @cached_property
+    @property
     def certified_family(self):
-        """A verified family whose members take vertex 0 to every vertex, or
-        None while none is known.
-
-        Starts as ``translations``; a "yes" of :func:`vt_plus_certificate`
-        records its family here, always after :func:`verify_family` passed.
-        """
-        return self.translations
+        """The family of ``certificate``, or None."""
+        return self.certificate and self.certificate.family
 
     @cached_property
     def distance_matrix(self):
@@ -199,8 +190,20 @@ class Graph:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], {tuple(e) for e in d["edges"]},
-                   tuple(d["labels"]) if d.get("labels") else None)
+        """Build from ``to_dict``'s form; a malformed field is a ValueError
+        naming it, and a JSON boolean is no integer."""
+        if not isinstance(d, dict):
+            raise ValueError("graph JSON must be an object with 'n' and 'edges'")
+        n, edges, labels = d.get("n"), d.get("edges"), d.get("labels")
+        if type(n) is not int or n < 1:
+            raise ValueError("graph JSON 'n' must be a positive integer")
+        if type(edges) is not list or any(
+                type(e) is not list or list(map(type, e)) != [int, int] for e in edges):
+            raise ValueError("graph JSON 'edges' must be a list of [i, j] vertex index pairs")
+        if labels is not None and (type(labels) is not list
+                                   or any(type(x) not in (str, int) for x in labels)):
+            raise ValueError("graph JSON 'labels' must be a list of strings or integers")
+        return cls(n, {tuple(e) for e in edges}, tuple(labels) if labels else None)
 
     @classmethod
     def from_json(cls, text):
@@ -339,21 +342,15 @@ class VtPlusCertificate:
 # ---------------------------------------------------------------------------
 
 def _tuple_label(tup, v):
-    if v <= 10:
-        return "".join(str(d) for d in tup)
-    return ".".join(str(d) for d in tup)
+    return ("" if v <= 10 else ".").join(map(str, tup))
 
 
 def _hamming_edges(tuples, v):
     """Index pairs of base-v ordered tuples that differ in exactly one coordinate."""
     u = len(tuples[0])
     strides = [v ** (u - 1 - i) for i in range(u)]
-    edges = set()
-    for idx, tup in enumerate(tuples):
-        for i, stride in enumerate(strides):
-            for val in range(tup[i] + 1, v):
-                edges.add((idx, idx + (val - tup[i]) * stride))
-    return edges
+    return {(idx, idx + (val - d) * stride) for idx, tup in enumerate(tuples)
+            for d, stride in zip(tup, strides) for val in range(d + 1, v)}
 
 
 def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
@@ -362,7 +359,9 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     Vertices are all u-tuples over {0, .., v-1}; two tuples are adjacent iff
     they differ in exactly one coordinate.  Vertex order and labels follow
     base-v digit strings, most significant participant first, so matrices
-    derived from the graph are reproducible.
+    derived from the graph are reproducible; for v > 10 the digits are
+    joined by dots.  The graph records its coordinate translations as its
+    ``certificate``.
 
     Raises ``SizeCapError`` when ``v**u`` exceeds ``size_cap``.
     """
@@ -374,8 +373,23 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     if n > size_cap:
         raise SizeCapError(f"hamming({u},{v}) has {n} vertices, above the cap of {size_cap}")
     tuples = list(itertools.product(range(v), repeat=u))
-    labels = tuple(_tuple_label(t, v) for t in tuples)
-    return Graph(n, _hamming_edges(tuples, v), labels)
+    g = Graph(n, _hamming_edges(tuples, v), tuple(_tuple_label(t, v) for t in tuples))
+    _certified(g, hamming_translation_family(u, v), "coordinate translations")
+    return g
+
+
+def _builder_translations(g):
+    """The certificate of the graph :func:`build_hamming` builds for the
+    (u, v) named by the size and last label of ``g``, if it equals ``g``."""
+    if g.labels is None:
+        return None
+    for u in range(1, g.n.bit_length()):
+        v = round(g.n ** (1 / u))
+        if v ** u == g.n and _tuple_label((v - 1,) * u, v) == g.labels[-1]:
+            twin = build_hamming(u, v, size_cap=g.n)
+            if twin == g:
+                return twin.certificate
+    return None
 
 
 def build_clique(n):
@@ -723,31 +737,6 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     return tuple(perm)
 
 
-def _hamming_parameters(g):
-    """Recover (u, v) when the graph is a product domain built by build_hamming."""
-    if g.labels is None or g.n < 2:
-        return None
-    first = g.labels[0]
-    try:
-        if "." in first:
-            digits = [tuple(int(p) for p in lab.split(".")) for lab in g.labels]
-        else:
-            digits = [tuple(int(ch) for ch in lab) for lab in g.labels]
-    except ValueError:
-        return None
-    u = len(digits[0])
-    if u < 1 or any(len(d) != u for d in digits):
-        return None
-    v = max(max(d) for d in digits) + 1
-    if v < 2 or v ** u != g.n:
-        return None
-    if digits != list(itertools.product(range(v), repeat=u)):
-        return None
-    if _hamming_edges(digits, v) != g.edges:
-        return None
-    return u, v
-
-
 def hamming_translation_family(u, v):
     """Coordinate-wise value translations of the (u, v) product domain.
 
@@ -896,12 +885,12 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
 
 
 def _certified(g, fam, method):
-    """A "yes" for ``fam``, recorded as ``g.certified_family`` once
+    """A "yes" for ``fam``, recorded as ``g.certificate`` once
     :func:`verify_family` accepts it on ``g``."""
     if not verify_family(g, fam):
         raise InternalError(f"internal error: {method} failed verification")
-    g.__dict__["certified_family"] = fam
-    return VtPlusCertificate("yes", fam, method)
+    cert = g.__dict__["certificate"] = VtPlusCertificate("yes", fam, method)
+    return cert
 
 
 def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
@@ -911,25 +900,23 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     :func:`verify_family`; "no" is only returned with a structural
     obstruction or after exhausting the full automorphism group; "unknown"
     means the search budget ran out.  A "yes" also proves that every vertex
-    looks like vertex 0: its family is recorded as ``g.certified_family``,
-    which :func:`common_profile`, :func:`is_distance_regular` and
+    looks like vertex 0: it is recorded as ``g.certificate``, which
+    :func:`common_profile`, :func:`is_distance_regular` and
     ``g.distance_matrix`` then use to work from that one base vertex.
 
-    Fast paths: an irregular degree sequence rules the property out (the
-    family would force vertex transitivity); a graph with Hamming labels
-    gets its translation family, held by its u unit-shift generators and
-    verified once per graph (``graph.translations``); a single-orbit
-    automorphism sigma is held as the one generator of its powers.  Only
-    the automorphism cover search returns all n permutations explicitly.
+    The graph's recorded ``certificate`` is returned first.  Otherwise an
+    irregular degree sequence rules the property out (the family would
+    force vertex transitivity), and a single-orbit automorphism sigma is
+    held as the one generator of its powers.  Only the automorphism cover
+    search returns all n permutations explicitly.
     """
+    if g.certificate is not None:
+        return g.certificate
     n = g.n
     if n == 1:
         return _certified(g, AutomorphismFamily(((0,),)), "trivial")
     if not g.is_regular:
         return VtPlusCertificate("no", None, "irregular degree sequence")
-
-    if g.translations is not None:
-        return VtPlusCertificate("yes", g.translations, "coordinate translations")
 
     try:
         sigma = single_orbit_automorphism(g, effort)

@@ -26,7 +26,7 @@ from dpchannel import (
     truncated_geometric_fixture,
     vt_plus_certificate,
 )
-from dpchannel import graphs, oracle
+from dpchannel import cli, graphs, oracle
 from dpchannel.cli import _write_json, build_parser, main
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
@@ -503,6 +503,41 @@ class TestAnalyzeCommand:
         assert "--tolerance: must be a non-negative number" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("with_prior, scans", [(False, 1), (True, 2)],
+                             ids=["uniform", "with-prior"])
+    def test_the_column_maxima_are_scanned_once(self, with_prior, scans, city_prior_csv,
+                                               monkeypatch, capsys):
+        scanned = []
+        weighted = ChannelMatrix._weighted_column_maxima
+        monkeypatch.setattr(ChannelMatrix, "_weighted_column_maxima",
+                            lambda self, weights: scanned.append(1) or weighted(self, weights))
+        argv = ["analyze", "--family", "clique:6", "--matrix", "fixture:geometric",
+                "--ratio", "1/2"]
+        assert main(argv + (["--prior", city_prior_csv] if with_prior else [])) == 0
+        assert len(scanned) == scans
+
+
+class TestPrivacyValues:
+    """A privacy level or grid step that names no usable rational is refused
+    with one message naming the value and its fault."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--family", "cycle:4", "--ratio", "1/0"],
+         "--ratio '1/0' has a zero denominator"),
+        (["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", "grid",
+          "--step", "1/0"], "--step '1/0' has a zero denominator"),
+        (["synth", "--family", "cycle:4", "--epsilon", "nan"],
+         "epsilon must be a finite non-negative number"),
+        (["synth", "--family", "cycle:4", "--epsilon", "inf"],
+         "epsilon must be a finite non-negative number"),
+    ], ids=["ratio-1/0", "step-1/0", "epsilon-nan", "epsilon-inf"])
+    def test_the_value_and_its_fault_are_named(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestSynthCommand:
     def test_clique6_reproduces_the_published_matrix(self, capsys):
         assert main(["synth", "--family", "clique:6", "--ratio", "1/2",
@@ -815,3 +850,104 @@ class TestJsonWriter:
         out = io.StringIO()
         _write_json(out.write, value)
         assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process, and reusing it changes
+    no outcome."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_mixed_run_matches_fresh_parsers(self, m2_csv, city_prior_csv, tmp_path,
+                                               monkeypatch, capsys):
+        uniform = tmp_path / "uniform.csv"
+        uniform.write_text("".join(f"{x},1/6\n" for x in "ABCDEF"), encoding="utf-8")
+        compare = ["compare", "--matrix-a", m2_csv, "--matrix-b", "fixture:geometric",
+                   "--prior", city_prior_csv, "--prior", str(uniform)]
+        run = [
+            ["graph", "--family", "cycle:5"],
+            ["analyze", "--family", "clique:6", "--matrix", m2_csv],       # no privacy level
+            compare,
+            ["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", "grid",
+             "--seed", "3"],
+            ["graph", "--graph-file", str(tmp_path / "missing.json")],
+            ["synth", "--family", "clique:3", "--ratio", "1/2", "--format", "json"],
+            compare,
+        ]
+        build_parser.cache_clear()
+        reused = [self.outcome(argv, capsys) for argv in run]
+        assert build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [self.outcome(argv, capsys) for argv in run]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 1, 0, 0]
+        assert reused[2] == reused[-1]
+
+
+# Graph JSON near the accepted shape: small vertex counts and edge lists
+# whose fields are, now and then, arbitrary JSON.
+graph_json = json_values | st.fixed_dictionaries(
+    {"n": st.integers(-1, 6) | json_values,
+     "edges": st.lists(st.lists(st.integers(-1, 6) | json_values, max_size=3), max_size=6)
+     | json_values},
+    optional={"labels": st.lists(st.text(max_size=2) | st.integers(-1, 9) | json_values,
+                                 max_size=6) | json_values})
+
+
+class TestGraphFileShape:
+    """A graph file is an object with a positive integer ``n``, ``edges`` a
+    list of integer pairs and optional ``labels`` of strings or integers;
+    anything else is refused with one message naming the field."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": true, "edges": []}', "graph JSON 'n' must be a positive integer"),
+        ('{"n": 2, "edges": [[0, true]]}',
+         "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+        ('{"n": 2, "edges": [[0, 1]], "labels": "ab"}',
+         "graph JSON 'labels' must be a list of strings or integers"),
+        ('{"n": 2, "edges": [[0, 1]], "labels": ["a", false]}',
+         "graph JSON 'labels' must be a list of strings or integers"),
+        ("{}", "graph JSON 'n' must be a positive integer"),
+        ("[]", "graph JSON must be an object with 'n' and 'edges'"),
+        ('{"n": 3}', "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+        ('{"n": 2, "edges": [[0]]}',
+         "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+        ('{"n": 2, "edges": [["0", "1"]]}',
+         "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+        ('{"n": 2, "edges": null}',
+         "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+    ])
+    def test_a_malformed_field_is_named(self, text, message, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["graph", "--graph-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_integer_labels_are_read_as_text(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "edges": [[0, 1]], "labels": [7, "x"]}', encoding="utf-8")
+        assert Graph.from_json(path.read_text(encoding="utf-8")).labels == ("7", "x")
+        assert main(["graph", "--graph-file", str(path)]) == 0
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=graph_json)
+    def test_any_json_exits_0_or_1_with_one_error_line(self, value, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        code = main(["graph", "--graph-file", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

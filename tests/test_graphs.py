@@ -452,7 +452,7 @@ class TestGeneratorCertificates:
         gens, orders = CORRUPTED_TRANSLATIONS[kind]
         monkeypatch.setattr(graphs, "hamming_translation_family",
                             lambda u, v: AutomorphismFamily(generators=gens, orders=orders))
-        with pytest.raises(InternalError, match="translation family failed verification"):
+        with pytest.raises(InternalError, match="coordinate translations failed verification"):
             vt_plus_certificate(build_hamming(2, 3))
         assert main(["graph", "--family", "hamming:2,3"]) == 3
         captured = capsys.readouterr()
@@ -553,6 +553,70 @@ class TestCertifiedFamily:
         assert "distance_matrix" not in vars(g)
         assert g.distance_matrix == distances(build_petersen())
 
+
+class SearchRan(Exception):
+    """Raised by a patched-out automorphism search."""
+
+
+SWAP_01 = (1, 0, 2, 3, 4, 5, 6, 7, 8)      # no automorphism of hamming(2, 3)
+
+
+def _dotted(g):
+    return Graph(g.n, g.edges, tuple(".".join(label) for label in g.labels))
+
+
+class TestRecordedCertificate:
+    """``build_hamming`` records its coordinate translations; any other
+    graph starts with them only if it equals the builder's graph, labels
+    included, and ``vt_plus_certificate`` answers from a recorded "yes"."""
+
+    @pytest.fixture
+    def searches_refused(self, monkeypatch):
+        def refuse(g, effort=None):
+            raise SearchRan
+
+        monkeypatch.setattr(graphs, "single_orbit_automorphism", refuse)
+        monkeypatch.setattr(graphs, "automorphism_group", refuse)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_hamming(3, 3),
+        lambda: Graph.from_json(build_hamming(3, 3).to_json()),
+        lambda: build_hamming(1, 11),
+        lambda: Graph.from_json(build_hamming(1, 11).to_json()),
+        lambda: Graph.from_json(build_hamming(2, 10).to_json()),     # last label 99
+        lambda: Graph.from_json(build_hamming(1, 100).to_json()),    # last label 99 too
+        lambda: Graph.from_json(build_hamming(2, 11).to_json()),     # dotted labels
+    ], ids=["built-3-3", "file-3-3", "built-1-11", "file-1-11", "file-2-10", "file-1-100",
+            "file-2-11"])
+    def test_builder_graphs_answer_without_a_search(self, make, searches_refused):
+        g = make()
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.method) == ("yes", "coordinate translations")
+        assert g.certificate is cert
+        assert g.certified_family is cert.family
+
+    @pytest.mark.parametrize("g", [
+        _dotted(build_hamming(3, 3)),
+        Graph(9, build_hamming(2, 3).edges, [f"x{k}" for k in range(9)]),
+        Graph(9, build_hamming(2, 3).edges),
+        Graph(9, build_hamming(2, 3).edges, reversed(build_hamming(2, 3).labels)),
+        Graph(9, {(SWAP_01[i], SWAP_01[j]) for i, j in build_hamming(2, 3).edges},
+              build_hamming(2, 3).labels),
+    ], ids=["dotted-labels", "other-labels", "unlabelled", "reversed-labels", "other-edges"])
+    def test_any_other_graph_goes_to_the_searches(self, g, searches_refused):
+        assert g.certificate is None
+        with pytest.raises(SearchRan):
+            vt_plus_certificate(g)
+
+    def test_hand_spelled_labels_still_get_a_searched_yes(self):
+        cert = vt_plus_certificate(_dotted(build_hamming(2, 3)))
+        assert (cert.status, cert.method) == ("yes", "automorphism cover search")
+
+    def test_a_recorded_yes_is_answered_again_without_a_search(self, monkeypatch):
+        g = build_cycle(7)
+        cert = vt_plus_certificate(g)
+        monkeypatch.setattr(graphs, "single_orbit_automorphism", None)
+        assert vt_plus_certificate(g) is cert
 
 
 def _circulant(n, steps):
