@@ -1,25 +1,40 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos and pin one synth report.
+"""Stdlib-only smoke check: run the demos, pin one synth report and
+certify one relabelled Hamming graph.
 
     python scripts/smoke.py
 
 It needs nothing beyond the standard library, so it runs on every supported
 Python (3.10 and later), including those without pytest or Hypothesis.  It
-runs each script in ``demos/`` and ``dpchannel synth --family petersen
---ratio 1/2 --format json`` against the library in ``src/``, checks that
-each exits 0 and that the synth report has the pinned sha256, and exits 1
-after listing every failure.
+runs each script in ``demos/``, ``dpchannel synth --family petersen
+--ratio 1/2 --format json`` and ``dpchannel graph --graph-file`` on the
+3x3x3 Hamming graph under a fixed vertex permutation, against the library in
+``src/``.  It checks that each exits 0, that the synth report has the pinned
+sha256 and that the graph report says ``VT+: yes (coordinate
+translations)``, and exits 1 after listing every failure.
 """
 
 import hashlib
+import itertools
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SYNTH_ARGV = ["synth", "--family", "petersen", "--ratio", "1/2", "--format", "json"]
 SYNTH_SHA256 = "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890"
+VT_LINE = "VT+: yes (coordinate translations)"
+
+
+def relabelled_hamming_3_3():
+    """Graph JSON of the 3x3x3 Hamming graph with vertex t sent to 10t mod 27."""
+    tuples = list(itertools.product(range(3), repeat=3))
+    edges = [[10 * i % 27, 10 * j % 27] for (i, s), (j, t) in itertools.combinations(
+        enumerate(tuples), 2) if sum(a != b for a, b in zip(s, t)) == 1]
+    return json.dumps({"n": 27, "edges": edges})
 
 
 def run(args):
@@ -40,6 +55,13 @@ def main():
     if result.returncode != 0 or digest != SYNTH_SHA256:
         failures.append(f"dpchannel {' '.join(SYNTH_ARGV)}: exit {result.returncode},"
                         f" sha256 {digest}, expected {SYNTH_SHA256}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "hamming33.json"
+        path.write_text(relabelled_hamming_3_3(), encoding="utf-8")
+        result = run(["-m", "dpchannel.cli", "graph", "--graph-file", str(path)])
+    if result.returncode != 0 or VT_LINE not in result.stdout.decode().splitlines():
+        failures.append(f"dpchannel graph --graph-file (relabelled hamming:3,3):"
+                        f" exit {result.returncode}, no line {VT_LINE!r}")
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     print(f"{sys.version.split()[0]}: {'ok' if not failures else f'{len(failures)} failed'}")

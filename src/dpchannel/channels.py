@@ -165,7 +165,10 @@ class PrivacyParameter:
     def from_epsilon(cls, eps):
         if not 0 <= eps < math.inf:
             raise ValueError("epsilon must be a finite non-negative number")
-        return cls(Fraction(math.exp(-eps)))
+        r = math.exp(-eps)
+        if r == 0:
+            raise ValueError(f"epsilon {eps:g} is too large: e^-epsilon underflows to 0")
+        return cls(Fraction(r))
 
 
 @dataclass(frozen=True)

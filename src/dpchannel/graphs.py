@@ -22,14 +22,15 @@ group, holds all n permutations.
 Base-vertex rule: a "yes" certificate proves that an automorphism takes
 vertex 0 to every vertex, so every vertex sees the graph as vertex 0 does.
 The graph's one piece of symmetry evidence is ``graph.certificate``, a
-verified "yes" (``graph.certified_family`` is its family): the coordinate
-translations :func:`build_hamming` records, or a family
-:func:`vt_plus_certificate` has found.  With it, one
-BFS from vertex 0 (``graph.base_row``) gives connectivity, the diameter and
-the shared distance profile (:func:`common_profile`), distance-regularity is
-counted from base 0 alone (:func:`is_distance_regular`), and a generated
-family gives the whole distance matrix: row i is the base row carried along
-the member that takes 0 to i.  Every other graph computes its all-pairs BFS
+verified "yes" (``graph.certified_family`` is its family): the family
+:func:`build_hamming` or :func:`build_cycle` records, the translations of a
+product of cliques read from its structure, or a family
+:func:`vt_plus_certificate` has found.  With it, one BFS from vertex 0
+(``graph.base_row``) gives connectivity, the diameter and the shared
+distance profile (:func:`common_profile`), distance-regularity is counted
+from base 0 alone (:func:`is_distance_regular`), and a generated family
+gives the whole distance matrix: row i is the base row carried along the
+member that takes 0 to i.  Every other graph computes its all-pairs BFS
 matrix once, on first use, with :func:`distances`, the reference the
 symmetric shortcuts are tested against.  The rest of the library (the
 distance kernel, the canonical form's distance classes, the random
@@ -135,10 +136,11 @@ class Graph:
     @cached_property
     def certificate(self):
         """The verified "yes" :class:`VtPlusCertificate`, or None while none
-        is known; only :func:`_certified` records one.  A graph not built by
-        :func:`build_hamming` starts with the builder's translations only if
-        it equals the builder's graph, labels included."""
-        return _builder_translations(self)
+        is known.  :func:`build_hamming` and :func:`build_cycle` record
+        theirs, and :func:`vt_plus_certificate` records what its searches
+        find, through :func:`_certified`; any other graph starts with the
+        translations :func:`_clique_product` recognises, or None."""
+        return _clique_product(self)
 
     @property
     def certified_family(self):
@@ -203,7 +205,7 @@ class Graph:
         if labels is not None and (type(labels) is not list
                                    or any(type(x) not in (str, int) for x in labels)):
             raise ValueError("graph JSON 'labels' must be a list of strings or integers")
-        return cls(n, {tuple(e) for e in edges}, tuple(labels) if labels else None)
+        return cls(n, {tuple(e) for e in edges}, None if labels is None else tuple(labels))
 
     @classmethod
     def from_json(cls, text):
@@ -341,10 +343,6 @@ class VtPlusCertificate:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _tuple_label(tup, v):
-    return ("" if v <= 10 else ".").join(map(str, tup))
-
-
 def _hamming_edges(tuples, v):
     """Index pairs of base-v ordered tuples that differ in exactly one coordinate."""
     u = len(tuples[0])
@@ -373,23 +371,10 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     if n > size_cap:
         raise SizeCapError(f"hamming({u},{v}) has {n} vertices, above the cap of {size_cap}")
     tuples = list(itertools.product(range(v), repeat=u))
-    g = Graph(n, _hamming_edges(tuples, v), tuple(_tuple_label(t, v) for t in tuples))
+    sep = "" if v <= 10 else "."
+    g = Graph(n, _hamming_edges(tuples, v), tuple(sep.join(map(str, t)) for t in tuples))
     _certified(g, hamming_translation_family(u, v), "coordinate translations")
     return g
-
-
-def _builder_translations(g):
-    """The certificate of the graph :func:`build_hamming` builds for the
-    (u, v) named by the size and last label of ``g``, if it equals ``g``."""
-    if g.labels is None:
-        return None
-    for u in range(1, g.n.bit_length()):
-        v = round(g.n ** (1 / u))
-        if v ** u == g.n and _tuple_label((v - 1,) * u, v) == g.labels[-1]:
-            twin = build_hamming(u, v, size_cap=g.n)
-            if twin == g:
-                return twin.certificate
-    return None
 
 
 def build_clique(n):
@@ -399,9 +384,13 @@ def build_clique(n):
 
 
 def build_cycle(n):
+    """The n-cycle, which records its rotation i -> i + 1 as its ``certificate``."""
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+    g = Graph(n, {(i, (i + 1) % n) for i in range(n)})
+    sigma = (*range(1, n), 0)
+    _certified(g, AutomorphismFamily(generators=(sigma,), orders=(n,)), "single-orbit powers")
+    return g
 
 
 def build_path(n):
@@ -748,14 +737,72 @@ def hamming_translation_family(u, v):
     tuple order.  A vertex's index is its tuple read in base v, so the unit
     shift of a coordinate with stride s adds s, wrapping the digit v-1 to 0.
     """
-    n = v ** u
+    return _unit_shifts((v,) * u)
+
+
+def _unit_shifts(orders):
+    """The unit shifts of the tuples with digit k below ``orders[k]``, on
+    their indices read in that mixed radix, most significant digit first."""
+    n = math.prod(orders)
     gens = []
-    for i in range(u):
-        stride = v ** (u - 1 - i)
+    stride = n
+    for v in orders:
+        stride //= v
         wrap = (v - 1) * stride
         gens.append(tuple(x - wrap if x // stride % v == v - 1 else x + stride
                           for x in range(n)))
-    return AutomorphismFamily(generators=tuple(gens), orders=(v,) * u)
+    return AutomorphismFamily(generators=tuple(gens), orders=tuple(orders))
+
+
+def _clique_product(g):
+    """The coordinate translations of ``g`` as a product of cliques
+    K_v1 □ … □ K_vu, as a "yes" certificate, or None.
+
+    Vertex 0 is the zero tuple, and its neighbours split into one clique per
+    coordinate (singletons where v_k = 2): the a-th member of clique k, in
+    vertex order, is the tuple with value a at k.  A vertex at distance
+    d >= 2 takes the union of its down-neighbours' values, which must name d
+    coordinates once each, and no two vertices may share a tuple.  Cliques
+    are numbered from the largest neighbour, so ``build_hamming``'s graph
+    gets the builder's family.  A family :func:`verify_family` refuses gives
+    None: a misreading leads to the searches, never to a wrong "yes"
+    (Imrich and Klavžar, "Recognizing Hamming graphs in linear time and
+    space", IPL 63, 1997).
+    """
+    adj = g.adjacency
+    near = set(adj[0])
+    coords = {0: {}}                        # vertex -> {coordinate: value}
+    orders = []
+    for x in reversed(adj[0]):
+        if x not in coords:
+            members = sorted(near.intersection(adj[x]) | {x})
+            if any(y in coords for y in members):
+                return None
+            coords.update((y, {len(orders): a}) for a, y in enumerate(members, 1))
+            orders.append(len(members) + 1)
+    if not orders or math.prod(orders) != g.n or not g.is_connected:
+        return None
+    row = g.base_row
+    for x in sorted(set(range(g.n)).difference(coords), key=row.__getitem__):
+        d = row[x]
+        coords[x] = union = {}
+        for y in adj[x]:
+            if row[y] == d - 1:
+                for k, a in coords[y].items():
+                    if union.setdefault(k, a) != a:
+                        return None
+        if len(union) != d:
+            return None
+    strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+    index = [sum(a * strides[k] for k, a in coords[x].items()) for x in range(g.n)]
+    vertex = dict(zip(index, range(g.n)))
+    if len(vertex) < g.n:
+        return None
+    fam = AutomorphismFamily(generators=tuple(
+        tuple(vertex[shift[i]] for i in index) for shift in _unit_shifts(orders).generators),
+        orders=tuple(orders))
+    return VtPlusCertificate("yes", fam, "coordinate translations") if verify_family(
+        g, fam) else None
 
 
 def _walk_from_base(fam, row=None):
@@ -904,11 +951,11 @@ def vt_plus_certificate(g, effort=DEFAULT_SEARCH_EFFORT):
     :func:`common_profile`, :func:`is_distance_regular` and
     ``g.distance_matrix`` then use to work from that one base vertex.
 
-    The graph's recorded ``certificate`` is returned first.  Otherwise an
-    irregular degree sequence rules the property out (the family would
-    force vertex transitivity), and a single-orbit automorphism sigma is
-    held as the one generator of its powers.  Only the automorphism cover
-    search returns all n permutations explicitly.
+    The graph's ``certificate``, recorded or recognised from its structure,
+    is returned first.  Otherwise an irregular degree sequence rules the
+    property out (the family would force vertex transitivity), and a
+    single-orbit automorphism sigma is held as the one generator of its
+    powers.  Only the automorphism cover search lists all n permutations.
     """
     if g.certificate is not None:
         return g.certificate

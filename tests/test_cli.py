@@ -98,9 +98,17 @@ class TestGraphCommand:
         assert payload["distance_regular"] is False
         assert "diameter" not in payload
 
-    @pytest.mark.parametrize("spec", ["cycle:1000", "clique:1000"])
-    def test_a_thousand_vertices_do_not_exhaust_the_stack(self, spec, capsys):
+    @pytest.mark.parametrize("spec, method", [("cycle:1000", "single-orbit powers"),
+                                              ("clique:1000", "coordinate translations")],
+                             ids=["cycle:1000", "clique:1000"])
+    def test_a_thousand_vertices_do_not_exhaust_the_stack(self, spec, method, capsys):
         assert main(["graph", "--family", spec]) == 0
+        assert f"VT+: yes ({method})" in capsys.readouterr().out
+
+    def test_a_searched_thousand_vertex_cycle_does_not_exhaust_the_stack(self, tmp_path, capsys):
+        path = tmp_path / "c1000.json"
+        path.write_text(build_cycle(1000).to_json(), encoding="utf-8")     # records nothing
+        assert main(["graph", "--graph-file", str(path)]) == 0
         assert "VT+: yes (single-orbit powers)" in capsys.readouterr().out
 
     def test_a_failed_internal_invariant_exits_3(self, capsys, monkeypatch):
@@ -530,7 +538,9 @@ class TestPrivacyValues:
          "epsilon must be a finite non-negative number"),
         (["synth", "--family", "cycle:4", "--epsilon", "inf"],
          "epsilon must be a finite non-negative number"),
-    ], ids=["ratio-1/0", "step-1/0", "epsilon-nan", "epsilon-inf"])
+        (["synth", "--family", "cycle:4", "--epsilon", "800"],
+         "epsilon 800 is too large: e^-epsilon underflows to 0"),
+    ], ids=["ratio-1/0", "step-1/0", "epsilon-nan", "epsilon-inf", "epsilon-800"])
     def test_the_value_and_its_fault_are_named(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -923,6 +933,7 @@ class TestGraphFileShape:
          "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
         ('{"n": 2, "edges": null}',
          "graph JSON 'edges' must be a list of [i, j] vertex index pairs"),
+        ('{"n": 2, "edges": [[0, 1]], "labels": []}', "label count must equal vertex count"),
     ])
     def test_a_malformed_field_is_named(self, text, message, tmp_path, capsys):
         path = tmp_path / "g.json"

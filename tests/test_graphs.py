@@ -459,12 +459,34 @@ class TestGeneratorCertificates:
         assert captured.out == ""
         assert "failed verification" in captured.err
 
-    def test_a_two_cycle_sigma_never_yields_yes(self, monkeypatch, capsys):
+    def test_a_two_cycle_sigma_never_yields_yes(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(graphs, "single_orbit_automorphism", lambda g, effort: ROTATE_BY_TWO)
+        hexagon = Graph(6, build_cycle(6).edges)     # records no rotation: the search runs
         with pytest.raises(InternalError, match="single-orbit powers failed verification"):
-            vt_plus_certificate(build_cycle(6))
-        assert main(["graph", "--family", "cycle:6"]) == 3
+            vt_plus_certificate(hexagon)
+        path = tmp_path / "c6.json"
+        path.write_text(hexagon.to_json(), encoding="utf-8")
+        assert main(["graph", "--graph-file", str(path)]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_a_corrupted_builder_rotation_exits_3(self, monkeypatch, capsys):
+        family = graphs.AutomorphismFamily
+        monkeypatch.setattr(graphs, "AutomorphismFamily",
+                            lambda generators, orders: family(generators=(ROTATE_BY_TWO,),
+                                                              orders=orders))
+        with pytest.raises(InternalError, match="single-orbit powers failed verification"):
+            build_cycle(6)
+        assert main(["graph", "--family", "cycle:6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed verification" in captured.err
+
+    def test_the_recorded_rotation_is_the_searched_sigma(self):
+        for n in range(3, 65):
+            g = build_cycle(n)
+            assert g.certificate.method == "single-orbit powers"
+            assert g.certified_family.generators == (
+                single_orbit_automorphism(Graph(n, g.edges)),)
 
     @pytest.mark.parametrize("orders", [(3,), (3, 2)])
     def test_the_wrong_member_count_raises(self, orders):
@@ -565,10 +587,25 @@ def _dotted(g):
     return Graph(g.n, g.edges, tuple(".".join(label) for label in g.labels))
 
 
+def _circulant(n, steps):
+    return Graph(n, {(i, (i + d) % n) for i in range(n) for d in steps})
+
+
+def _relabelled(g, perm):
+    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
+
+
+# Z4 x Z4 with steps +-(1, 0), +-(0, 1), +-(1, 1): the parameters of
+# hamming(2, 4), but vertex 0's neighbours form a hexagon, not two triangles.
+SHRIKHANDE = Graph(16, {(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                        for a in range(4) for b in range(4)
+                        for da, db in ((1, 0), (0, 1), (1, 1))})
+
+
 class TestRecordedCertificate:
-    """``build_hamming`` records its coordinate translations; any other
-    graph starts with them only if it equals the builder's graph, labels
-    included, and ``vt_plus_certificate`` answers from a recorded "yes"."""
+    """``build_hamming`` records its coordinate translations, any other
+    product of cliques gets them from its structure, labelled or not, and
+    ``vt_plus_certificate`` answers from a recorded "yes"."""
 
     @pytest.fixture
     def searches_refused(self, monkeypatch):
@@ -603,28 +640,36 @@ class TestRecordedCertificate:
         Graph(9, {(SWAP_01[i], SWAP_01[j]) for i, j in build_hamming(2, 3).edges},
               build_hamming(2, 3).labels),
     ], ids=["dotted-labels", "other-labels", "unlabelled", "reversed-labels", "other-edges"])
-    def test_any_other_graph_goes_to_the_searches(self, g, searches_refused):
+    def test_any_labels_or_none_are_recognised_without_a_search(self, g, searches_refused):
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.method) == ("yes", "coordinate translations")
+        assert verify_family(g, cert.family)
+
+    def test_a_builder_file_gets_the_builder_family(self):
+        g = Graph.from_json(build_hamming(3, 4).to_json())
+        assert g.certified_family == hamming_translation_family(3, 4)
+
+    @pytest.mark.parametrize("g", [
+        Graph(9, build_cycle(9).edges),
+        _relabelled(_circulant(12, (1, 2)), [(5 * k + 3) % 12 for k in range(12)]),
+        build_petersen(),
+        SHRIKHANDE,
+    ], ids=["cycle-9", "relabelled-circulant-12", "petersen", "shrikhande"])
+    def test_a_graph_no_clique_product_spells_goes_to_the_searches(self, g, searches_refused):
         assert g.certificate is None
         with pytest.raises(SearchRan):
             vt_plus_certificate(g)
 
-    def test_hand_spelled_labels_still_get_a_searched_yes(self):
-        cert = vt_plus_certificate(_dotted(build_hamming(2, 3)))
-        assert (cert.status, cert.method) == ("yes", "automorphism cover search")
+    def test_a_declined_graph_can_still_run_out(self):
+        g = _relabelled(_circulant(12, (1, 2)), [(5 * k + 3) % 12 for k in range(12)])
+        cert = vt_plus_certificate(g, effort=5)
+        assert (cert.status, cert.method) == ("unknown", "search budget exhausted")
 
     def test_a_recorded_yes_is_answered_again_without_a_search(self, monkeypatch):
         g = build_cycle(7)
         cert = vt_plus_certificate(g)
         monkeypatch.setattr(graphs, "single_orbit_automorphism", None)
         assert vt_plus_certificate(g) is cert
-
-
-def _circulant(n, steps):
-    return Graph(n, {(i, (i + d) % n) for i in range(n) for d in steps})
-
-
-def _relabelled(g, perm):
-    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
 
 
 # Relabelled without vertex labels, these graphs are certified by the searches alone.
@@ -704,5 +749,123 @@ class TestSearchesMatchTheReference:
     def test_a_relabelled_hamming_3_3_runs_out_at_the_default_effort(self):
         perm = list(range(27))
         random.Random(9).shuffle(perm)
-        cert = vt_plus_certificate(_relabelled(build_hamming(3, 3), perm))
-        assert (cert.status, cert.method) == ("unknown", "search budget exhausted")
+        g = _relabelled(build_hamming(3, 3), perm)
+        with pytest.raises(SearchBudgetError):
+            single_orbit_automorphism(g)
+        with pytest.raises(SearchBudgetError):
+            automorphism_group(g)
+
+
+def _clique_product_graph(orders):
+    """K_v1 □ … □ K_vu from its definition: tuples differing in one coordinate."""
+    tuples = list(itertools.product(*map(range, orders)))
+    return Graph(len(tuples), {(i, j) for (i, s), (j, t) in itertools.combinations(
+        enumerate(tuples), 2) if sum(a != b for a, b in zip(s, t)) == 1})
+
+
+def _is_sharply_transitive(g, perms):
+    """The all-permutations check, written here: n permutations, each
+    mapping the edge set onto itself, that send each vertex to every vertex
+    exactly once."""
+    edges = {frozenset(e) for e in g.edges}
+    everyone = list(range(g.n))
+    return (len(perms) == g.n
+            and all(sorted(p) == everyone for p in perms)
+            and all({frozenset((p[i], p[j])) for i, j in g.edges} == edges for p in perms)
+            and all(sorted(p[v] for p in perms) == everyone for v in range(g.n)))
+
+
+def _swapped(edges, rnd, swaps):
+    """``edges`` after up to ``swaps`` degree-preserving double-edge swaps
+    ab, cd -> ad, cb."""
+    edges = set(edges)
+    for _ in range(swaps):
+        (a, b), (c, d) = rnd.sample(sorted(edges), 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = edges - {(a, b), (c, d)} | new
+    return edges
+
+
+PRODUCT_ORDERS = [(2,), (5,), (2, 2), (3, 3), (2, 3), (4, 3), (2, 2, 2, 2), (3, 2, 2),
+                  (2, 3, 5), (3, 3, 3), (4, 4, 4)]
+
+
+@st.composite
+def relabelled_products(draw):
+    g = _clique_product_graph(draw(st.sampled_from(PRODUCT_ORDERS)))
+    return _relabelled(g, draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def near_products(draw):
+    """Graphs a vertex-0 reading could mistake for a product of cliques:
+    Hamming graphs and regular circulants after random double-edge swaps,
+    disjoint unions of cliques, and the Shrikhande graph; all relabelled."""
+    kind = draw(st.sampled_from(["hamming", "regular", "cliques", "shrikhande"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if kind == "hamming":
+        u, v = draw(st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]))
+        g = build_hamming(u, v)
+        g = Graph(g.n, _swapped(g.edges, rnd, draw(st.integers(0, 4))))
+    elif kind == "regular":
+        n = draw(st.integers(5, 16))
+        steps = draw(st.sets(st.integers(1, (n - 1) // 2), min_size=1, max_size=3))
+        g = Graph(n, _swapped(_circulant(n, steps).edges, rnd, draw(st.integers(1, 30))))
+    elif kind == "cliques":
+        sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+        starts = list(itertools.accumulate([0] + sizes))
+        g = Graph(starts[-1], {(s + i, s + j) for s, k in zip(starts, sizes)
+                               for i, j in itertools.combinations(range(k), 2)})
+    else:
+        g = SHRIKHANDE
+    return _relabelled(g, draw(st.permutations(range(g.n))))
+
+
+class TestCliqueProducts:
+    """Products of cliques are certified from their structure, and a
+    graph that is not one never gets a "yes" it does not deserve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=relabelled_products())
+    def test_relabelled_products_get_their_translations(self, g):
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.method) == ("yes", "coordinate translations")
+        assert verify_family(g, cert.family)
+        assert _is_sharply_transitive(g, cert.family.perms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=near_products())
+    def test_a_recognised_yes_is_always_right(self, g):
+        cert = g.certificate
+        if cert is not None:
+            assert cert.method == "coordinate translations"
+            assert _is_sharply_transitive(g, cert.family.perms)
+
+    def test_the_shrikhande_graph_is_declined_then_searched(self):
+        g = Graph(SHRIKHANDE.n, SHRIKHANDE.edges)
+        assert g.certificate is None
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.method) == ("yes", "automorphism cover search")
+        assert _is_sharply_transitive(g, cert.family.perms)
+
+    def test_a_swap_inside_one_distance_layer_is_refused_by_verification(self):
+        # 11-12 and 21-22 become 11-22 and 21-12: every vertex keeps its
+        # down-neighbours, so only verify_family can refuse the translations
+        edges = set(build_hamming(2, 3).edges) - {(4, 5), (7, 8)} | {(4, 8), (5, 7)}
+        assert graphs._clique_product(Graph(9, edges)) is None
+
+    def test_mixed_clique_sizes_keep_their_orders(self):
+        g = _relabelled(_clique_product_graph((2, 3, 5)), [(7 * k + 4) % 30 for k in range(30)])
+        assert sorted(g.certified_family.orders) == [2, 3, 5]
+
+    def test_cliques_record_nothing_and_are_recognised(self):
+        g = build_clique(6)
+        assert "certificate" not in vars(g)
+        assert g.certificate.method == "coordinate translations"
+        assert g.certified_family.generators == ((1, 2, 3, 4, 5, 0),)
+
+    @pytest.mark.parametrize("g", [Graph(1, set()), Graph(2, set()), Graph(6, set())],
+                             ids=["K1", "two-vertices", "six-vertices"])
+    def test_graphs_without_edges_at_0_are_declined(self, g):
+        assert graphs._clique_product(g) is None

@@ -12,7 +12,10 @@ went through ``json.dumps(..., indent=2)``; the one at the size cap is
 taken as the report streams, without holding its 321 MB.  The audit-files
 deck at seed 7 (``analyze``, ``transform`` and ``compare`` on the
 benchmark's matrix and prior files) was pinned while every cell was still
-read as one ``Fraction``.
+read as one ``Fraction``.  The ``graph`` digests of ``clique:N``,
+``path:2`` and the Hamming and clique files were taken again when products
+of cliques came to be certified from their structure: they differ from
+the old ones only in the VT+ verdict and method.
 """
 
 import contextlib
@@ -30,12 +33,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # family spec: (text digest, JSON digest)
 GRAPH_FAMILY_SHA256 = {
-    "clique:2": ("56fde83c8d502f4abab84a8a19f3a89a84116e8793b7f40aa090449c22933dd2",
-                 "47a1bd332faab76747d7c152ca39fff476d5d296930e44f66e5aefd4177d2c36"),
-    "clique:5": ("ff25b878dec6ef3f4c14a0c672d91177fc2387ffc348d498fce365c72255c20a",
-                 "3d624b74e929c62c4ea898d1989f0a1e0ebb2c6fc742d91b521935c9ad67a3e8"),
-    "clique:40": ("8d518df70c42e14b13a766be07886f28b7bf73d5e9e10bb92abe117be9e3f07f",
-                  "7391b05b570faf1c9fac2381301525f85587283c15315e120724f9b23364e7b0"),
+    "clique:2": ("904862693ee3bcbde8f46f9c731b23dca89cd0614938554f82b7d90179b22113",
+                 "6130acf8c032cf70ac7ae9a683c6e616e8627b3b51a9a14c6d894057bb7566a5"),
+    "clique:5": ("36a808c5970565db791edbf2a44aeca384b6c340e41858f68c2e3cfcaba6d593",
+                 "51dfdee9ad587bdeaaae408642df1d00e999072a521c6f793f8f60c82fec0826"),
+    "clique:40": ("1d70e4ef77b917d5160c0e8695c2b0f9ed832f1a80fb8fa78679068812a33c45",
+                  "849cf4e318581bb472e38ef5ead96b1d1b257564b76735457996c82cf8eeac2e"),
     "cycle:3": ("286aeadfad255661433b0893f08ab3185b5ce00b936708215499da334d5fb030",
                 "c021823b767f800c37f7cea3d4661d767ee953a6bde661e11bd198c270253eff"),
     "cycle:6": ("3e99d88b4273d28a3e7dcd09fc091b1241653bcf7772fc5eab1ced1caac50d2d",
@@ -46,8 +49,8 @@ GRAPH_FAMILY_SHA256 = {
                  "695222a1167f6d7bdb2f8c7b9f23e7b1a2b314133bc3711d1584fb7fdbdf83ec"),
     "path:1": ("e7660171f8bc3847977a415238c016d5739f1941be3dc0f34bbbbbb1713648a6",
                "b1bac8e46cc04f330ca6b3e46eb1da67ba90f5b5a7d8c65e135dc42c36ebeaf3"),
-    "path:2": ("56fde83c8d502f4abab84a8a19f3a89a84116e8793b7f40aa090449c22933dd2",
-               "47a1bd332faab76747d7c152ca39fff476d5d296930e44f66e5aefd4177d2c36"),
+    "path:2": ("904862693ee3bcbde8f46f9c731b23dca89cd0614938554f82b7d90179b22113",
+               "6130acf8c032cf70ac7ae9a683c6e616e8627b3b51a9a14c6d894057bb7566a5"),
     "path:4": ("eb38ab4b0aa69660a4c6d8a43a6efd545f068091328030815adf1bbfa1fde80f",
                "422bd765b1d408ff4290fdb4e4d185162fc8aa09f37ba7a4195996a5c2bc87af"),
     "petersen": ("2d05b764cc6799acf8ae18c82d5f8c0df9f8d8510c09ecb0a1267829dbaea7f7",
@@ -91,14 +94,14 @@ GRAPH_FILE_SHA256 = {
                    "fa851a34036c0ca185f1b5e09fab3791bcd147368ade149b106264a03707b82a",
                    "bdce8c009cbe10d1eeafabb1ee660d2603728db282e86638707a4b71b82e1a97"),
     "clique8.json": ("545ead035487c2aa92d16b24186126d50e182903957e99d03d474aa050952189",
-                   "0acaeb630bd14b24bd2e19503b2925a36a4f523af9466a3f6e698cca2af4aa5c",
-                   "d17801fe240281c85fa13a1b7c32e6d396581e862ba3346be428d115b8f72095"),
+                   "6dea805589d4ebfd1669a060d5a0647378e56158caa51bf5d1f23c0eae4297be",
+                   "c4891f7e8864edf426184f73759d491e054895a332a07db109fd47fa78a724d8"),
     "hamming33.json": ("2233d508f78924d15c659a2702045f629c2e7523c019b686d5fa21fb5179747e",
-                     "c17f2e965639d546cdbf95ff8c04fd91c62d8e5da174dad01dff7dfc79fa6109",
-                     "32d0fa3e3e76b1617e11d5bbcc6caa6fc27c74afd66447a9e50ad6331a8a86f4"),
+                     "c22fb02e1f15c02ae61ff7385ca7a2ffb4cf5eab991d763b0498e39e5f650a36",
+                     "880274b76443b4014ce90bde30377df7f4b530eceb5c3aafe95e6d53501b6acc"),
     "hamming43.json": ("6e0fc25d9a70e6c1ba4fc5e6c68c4925d2fd46a90842e37893787e9282530ed6",
-                     "f7b8941c16fea23843ea4831b715686d21855d01547d20c300289a7a0a46f8fc",
-                     "a4f517a2ffa9bbd69222c24c6170d54a9a684266a5b321ae543dad4a5ad36ff1"),
+                     "8ac41f5ce31553bc80bc75a0dfa9049dcd1b4bc14063d3f8dd9861bac8596a9c",
+                     "9b93f1d27e2788f09aa018711d55e08ff212ef1b53b9d544b342d3d9d5e9fc2b"),
     "circulant12.json": ("48dd2be692e4fd740d331aedcf8bc1127fe83338e3b45480c1c8ad8ce319d842",
                        "bf56b686c794123127af96ff6d7be7cef4dedd6e659d6d01426104daf8731520",
                        "a15477bb38d69f58db063567a6a5bce09831167988ee99c05656bf27906915dd"),
@@ -106,23 +109,23 @@ GRAPH_FILE_SHA256 = {
                  "23330d9601cb49bcf0b81c2090f5ee3cb9c2f10279269fceb9cd956297440053",
                  "3464c8b38b2cf63dace7b1cf907920ddae65a9e6aa69c49c78f4d506952e79dc"),
     "hamming24-0-0.json": ("6a09a179d55ddab0f9dce0e83a7b2d6e58548df1d5c328b0a84261586a34f210",
-                         "f18e94e27c83ff007f43906edf0d62510162b4087dd6b6da851b92344354140f",
-                         "e908f92df3b375c505d2d0452d8531a3e84c7a1cc11415ac214e76f2b6ce0625"),
+                         "2df6fd4f17452dee99b392726ec724aeb0ded6b2874b7ed9e59aa62bf231289d",
+                         "13a1edb9a94a4d6f1453bee74d034db0ac708db0df691cc6085488617c00522b"),
     "hamming33-0-0.json": ("2405308e67ea998f8b911a697be965d7b38b10f765acf3810c9f2532321932c6",
-                         "c17f2e965639d546cdbf95ff8c04fd91c62d8e5da174dad01dff7dfc79fa6109",
-                         "32d0fa3e3e76b1617e11d5bbcc6caa6fc27c74afd66447a9e50ad6331a8a86f4"),
+                         "c22fb02e1f15c02ae61ff7385ca7a2ffb4cf5eab991d763b0498e39e5f650a36",
+                         "880274b76443b4014ce90bde30377df7f4b530eceb5c3aafe95e6d53501b6acc"),
     "hamming33-0-1.json": ("44c3f1702f7c77828454f04b0a4aef6437b5460fdbda5e51b7e24c294bc78978",
-                         "c17f2e965639d546cdbf95ff8c04fd91c62d8e5da174dad01dff7dfc79fa6109",
-                         "32d0fa3e3e76b1617e11d5bbcc6caa6fc27c74afd66447a9e50ad6331a8a86f4"),
+                         "c22fb02e1f15c02ae61ff7385ca7a2ffb4cf5eab991d763b0498e39e5f650a36",
+                         "880274b76443b4014ce90bde30377df7f4b530eceb5c3aafe95e6d53501b6acc"),
     "hamming33-0-2.json": ("09fb5f94ca45d56d1f821583dae2dc0ea789918163c0d70d752572e2007b9c47",
-                         "c17f2e965639d546cdbf95ff8c04fd91c62d8e5da174dad01dff7dfc79fa6109",
-                         "32d0fa3e3e76b1617e11d5bbcc6caa6fc27c74afd66447a9e50ad6331a8a86f4"),
+                         "c22fb02e1f15c02ae61ff7385ca7a2ffb4cf5eab991d763b0498e39e5f650a36",
+                         "880274b76443b4014ce90bde30377df7f4b530eceb5c3aafe95e6d53501b6acc"),
     "hamming33-0-3.json": ("a11e1791c3f1c56228a21dec97e627420fce3c677abb0265276e4e291da88ef4",
-                         "c17f2e965639d546cdbf95ff8c04fd91c62d8e5da174dad01dff7dfc79fa6109",
-                         "32d0fa3e3e76b1617e11d5bbcc6caa6fc27c74afd66447a9e50ad6331a8a86f4"),
+                         "c22fb02e1f15c02ae61ff7385ca7a2ffb4cf5eab991d763b0498e39e5f650a36",
+                         "880274b76443b4014ce90bde30377df7f4b530eceb5c3aafe95e6d53501b6acc"),
     "hamming42-0-0.json": ("a5beef0b00c1e9881e643cea791f5df576c9fa8af2ea8d9767e7392dc3482ba9",
-                         "c569a35d1a17c3adfb6402bad1b389743694e37ecdaf1225bfad1b7c8c1e14ea",
-                         "2ae6e06bfd7c891ed2ea13f2e4ef8b6f628093016f0fe7246c7a0752c69b9781"),
+                         "693f761a7fc98446490520018d88cfe6153c2d2100e737bb399a7da0d17857cb",
+                         "68f17ca720a2af1582cb23a4ab6d86a3480ee71e72afe4c0090816e01430e78f"),
     "petersen-0-0.json": ("5e628d7ac7870647ae0566bd7ab8f2a0d8a8fba69392b91a0e72525a9378826a",
                         "2d05b764cc6799acf8ae18c82d5f8c0df9f8d8510c09ecb0a1267829dbaea7f7",
                         "86fefc343a207001185a3bf716ba404d6a270d944fa8935a2a1dcca81377d929"),

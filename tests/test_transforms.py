@@ -285,6 +285,22 @@ class TestPipelineProperties:
                 CanonicalForm(once.matrix, "diagonal"), g, array)
             assert once.matrix.entries == again.matrix.entries
 
+    def test_a_clique_product_averages_over_its_recognised_translations(self):
+        # K3 x K2 is not distance-regular, so canonicalize averages over the
+        # family the structural recogniser recorded
+        g = Graph(6, {(i, (i + d) % 6) for i in range(6) for d in (2, 3)})
+        assert is_distance_regular(g) is None
+        assert g.certificate.method == "coordinate translations"
+        uniform = Prior.uniform(g.n)
+        for matrix in random_dp_sample(g, HALF, 4, seed=31):
+            out = canonicalize(matrix, g)
+            assert out.symmetry == "vt_plus"
+            m = out.matrix
+            for gen in g.certified_family.generators:
+                assert all(m.entry(gen[i], gen[j]) == m.entry(i, j)
+                           for i in range(g.n) for j in range(g.n))
+            assert posterior_success(uniform, matrix) == posterior_success(uniform, m)
+
     @pytest.mark.parametrize("spec", ["cycle:6", "hamming:2,2"])
     def test_group_family_averaging_is_idempotent(self, spec):
         g = build_family(spec)
