@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin one synth report and
+"""Stdlib-only smoke check: run the demos, pin two synth reports and
 certify one relabelled Hamming graph.
 
     python scripts/smoke.py
 
 It needs nothing beyond the standard library, so it runs on every supported
 Python (3.10 and later), including those without pytest or Hypothesis.  It
-runs each script in ``demos/``, ``dpchannel synth --family petersen
---ratio 1/2 --format json`` and ``dpchannel graph --graph-file`` on the
-3x3x3 Hamming graph under a fixed vertex permutation, against the library in
-``src/``.  It checks that each exits 0, that the synth report has the pinned
-sha256 and that the graph report says ``VT+: yes (coordinate
-translations)``, and exits 1 after listing every failure.
+runs each script in ``demos/``, ``dpchannel synth --ratio 1/2 --format
+json`` on ``--family petersen`` (whose cover-search family is explicit, so
+the kernel is read from the distance matrix and audited by a full scan) and
+on ``--family hamming:3,3`` (whose kernel is carried along its coordinate
+translations), and ``dpchannel graph --graph-file`` on the 3x3x3 Hamming
+graph under a fixed vertex permutation, against the library in ``src/``.
+It checks that each exits 0, that each synth report has its pinned sha256
+and that the graph report says ``VT+: yes (coordinate translations)``, and
+exits 1 after listing every failure.
 """
 
 import hashlib
@@ -24,8 +27,10 @@ import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-SYNTH_ARGV = ["synth", "--family", "petersen", "--ratio", "1/2", "--format", "json"]
-SYNTH_SHA256 = "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890"
+SYNTH_SHA256 = {
+    "petersen": "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
+    "hamming:3,3": "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
+}
 VT_LINE = "VT+: yes (coordinate translations)"
 
 
@@ -50,11 +55,13 @@ def main():
         if result.returncode != 0:
             failures.append(f"{script.name}: exit {result.returncode}\n"
                             f"{result.stderr.decode(errors='replace')}")
-    result = run(["-m", "dpchannel.cli", *SYNTH_ARGV])
-    digest = hashlib.sha256(result.stdout).hexdigest()
-    if result.returncode != 0 or digest != SYNTH_SHA256:
-        failures.append(f"dpchannel {' '.join(SYNTH_ARGV)}: exit {result.returncode},"
-                        f" sha256 {digest}, expected {SYNTH_SHA256}")
+    for family, expected in SYNTH_SHA256.items():
+        argv = ["synth", "--family", family, "--ratio", "1/2", "--format", "json"]
+        result = run(["-m", "dpchannel.cli", *argv])
+        digest = hashlib.sha256(result.stdout).hexdigest()
+        if result.returncode != 0 or digest != expected:
+            failures.append(f"dpchannel {' '.join(argv)}: exit {result.returncode},"
+                            f" sha256 {digest}, expected {expected}")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "hamming33.json"
         path.write_text(relabelled_hamming_3_3(), encoding="utf-8")

@@ -132,6 +132,17 @@ def _format_ratio(num, den):
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+class _Spelling(dict):
+    """Memo of numerator -> ``_format_ratio(numerator, den)`` for one ``den``."""
+
+    def __init__(self, den):
+        self.den = den
+
+    def __missing__(self, num):
+        text = self[num] = _format_ratio(num, self.den)
+        return text
+
+
 @dataclass(frozen=True)
 class PrivacyParameter:
     """Privacy level as the exact adjacent-row ratio floor r = e^(-epsilon).
@@ -337,10 +348,10 @@ class ChannelMatrix:
     # -- serialization ------------------------------------------------------
 
     def _formatted_rows(self):
-        """Each row as reduced ``num/den`` texts, one per distinct entry."""
+        """Each row as reduced ``num/den`` texts, each value spelt once per denominator."""
+        memos = {}
         for row, den in zip(self.numerators, self.denominators):
-            text = {x: _format_ratio(x, den) for x in set(row)}
-            yield [text[x] for x in row]
+            yield list(map(memos.setdefault(den, _Spelling(den)).__getitem__, row))
 
     def to_csv(self):
         out = io.StringIO()
@@ -450,9 +461,17 @@ def _is_invariant(matrix, fam):
 
     Rows are compared in their unique lcm form, so equal numerators and
     equal denominators mean equal rows.
+
+    A kernel ``optimal_mechanism`` carried along this very family object
+    (``_carried_along``) is invariant by construction: the members f_i are
+    automorphisms and row f_i(0) is row 0 read through f_i^-1, so
+    ``M[i][j] == w[d(0, f_i^-1 j)] == w[d(i, j)]``, which every member
+    keeps.  Any other matrix, an equal one or a copy included, is checked.
     """
     if fam is None or fam.explicit is not None or matrix.cols != matrix.rows:
         return False
+    if fam is getattr(matrix, "_carried_along", None):
+        return True
     nums, dens = matrix.numerators, matrix.denominators
     for gen in fam.generators:
         carry = operator.itemgetter(*gen)         # carry(row)[j] == row[gen[j]]

@@ -16,6 +16,7 @@ byte-identical reports.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -123,6 +124,12 @@ def _privacy(args):
 _JSON_SPELLING = {str: encode_basestring_ascii, int: int.__repr__}
 
 
+def _spelling(items):
+    """The ``_JSON_SPELLING`` entry of the one type all ``items`` share, or None."""
+    kinds = set(map(type, items))
+    return _JSON_SPELLING.get(kinds.pop()) if len(kinds) == 1 else None
+
+
 def _write_json(write, value, pad="\n"):
     """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` spells it.
 
@@ -131,9 +138,10 @@ def _write_json(write, value, pad="\n"):
     string keys, sorted) and lists or tuples are written item by item,
     except that a list of strings only (a matrix row, the labels) or of
     ints only (an edge) is spelt in one join, by ``json``'s own
-    ``encode_basestring_ascii`` or ``int.__repr__``; every other value is
-    spelt by ``json.dumps``.  ``pad`` is the newline and indentation that
-    precede the value's closing bracket.
+    ``encode_basestring_ascii`` or ``int.__repr__``, and so is each list, in
+    one ``write``, of a list of non-empty such lists of one type (the matrix
+    entries, the edges); every other value is spelt by ``json.dumps``.
+    ``pad`` is the newline and indentation before the closing bracket.
     """
     if isinstance(value, dict) and value:
         inner = pad + "  "
@@ -145,14 +153,19 @@ def _write_json(write, value, pad="\n"):
         write(pad + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
-        kinds = set(map(type, value))
-        if len(kinds) == 1 and (spell := _JSON_SPELLING.get(kinds.pop())):
+        if spell := _spelling(value):
             write("[" + inner + ("," + inner).join(map(spell, value)) + pad + "]")
             return
+        spell = set(map(type, value)) <= {list, tuple} and all(value) and _spelling(
+            itertools.chain.from_iterable(value))
+        cell = "," + inner + "  "
         sep = "[" + inner
         for item in value:
-            write(sep)
-            _write_json(write, item, inner)
+            if spell:
+                write(sep + "[" + cell[1:] + cell.join(map(spell, item)) + inner + "]")
+            else:
+                write(sep)
+                _write_json(write, item, inner)
             sep = "," + inner
         write(pad + "]")
     else:

@@ -33,9 +33,9 @@ gives the whole distance matrix: row i is the base row carried along the
 member that takes 0 to i.  Every other graph computes its all-pairs BFS
 matrix once, on first use, with :func:`distances`, the reference the
 symmetric shortcuts are tested against.  The rest of the library (the
-distance kernel, the canonical form's distance classes, the random
-sampler's component representatives) reads ``graph.distance_matrix``
-instead of running its own BFS or component search.
+distance kernel unless a generated family carries it from row 0, the
+canonical form's distance classes, the random sampler's components) reads
+``graph.distance_matrix`` instead of running its own BFS or component search.
 
 Classification is exact: a "yes" always carries a checked certificate, a
 "no" is only reported when the search space was exhausted (or a structural
@@ -118,7 +118,7 @@ class Graph:
         for i, j in self.edge_list:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))      # sorted, as filled from the sorted edge_list
 
     @cached_property
     def degrees(self):
@@ -182,7 +182,7 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def to_dict(self):
-        d = {"n": self.n, "edges": [list(e) for e in self.edge_list]}
+        d = {"n": self.n, "edges": list(map(list, self.edge_list))}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d

@@ -1,6 +1,7 @@
 """Channel arithmetic: audits, entropies, leakage, capacity, serialization."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from dpchannel import (
 )
 
 from chained_audit import distance_ratio_audit
+from dpchannel import channels
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -666,3 +668,71 @@ class TestInvariantAudit:
         audit, walked = watched_audit(matrix, g)
         assert walked
         assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
+
+
+class CountingOperator:
+    """``operator`` as ``channels`` sees it, counting ``itemgetter`` calls:
+    the invariance check makes one per generator it compares."""
+
+    def __init__(self):
+        self.itemgetters = 0
+
+    def __getattr__(self, name):
+        return getattr(operator, name)
+
+    def itemgetter(self, *items):
+        self.itemgetters += 1
+        return operator.itemgetter(*items)
+
+
+class TestCarriedKernelAudit:
+    """The synthesised kernel records the generated family it was carried
+    along and is audited from vertex 0 without the generator check; copies
+    and equal matrices are checked, and audit the same."""
+
+    @pytest.mark.parametrize("spec", ["hamming:2,3", "hamming:3,3", "hamming:4,2", "cycle:7",
+                                      "cycle:8", "clique:5"])
+    @pytest.mark.parametrize("pp", [HALF, PrivacyParameter.from_epsilon(0.7)],
+                             ids=["half", "epsilon-0.7"])
+    def test_the_kernel_skips_the_check_and_copies_take_it(self, spec, pp, monkeypatch):
+        g = build_family(spec)
+        gens = len(g.certified_family.generators)
+        kernel = optimal_mechanism(g, pp).matrix
+        relabelled = kernel.with_labels([f"x{i}" for i in range(g.n)])
+        by_hand = ChannelMatrix([list(row) for row in kernel.numerators], kernel.row_labels,
+                                kernel.col_labels, denominators=list(kernel.denominators))
+        assert by_hand == kernel and hash(by_hand) == hash(kernel)
+        reference = audit_fields(full_scan(kernel, g))
+        spy = CountingOperator()
+        monkeypatch.setattr(channels, "operator", spy)
+        checked = []
+        for matrix in (kernel, relabelled, by_hand):
+            before = spy.itemgetters
+            audit, walked = watched_audit(matrix, g)
+            checked.append(spy.itemgetters - before)
+            assert not walked
+            assert audit_fields(audit) == reference
+        assert checked == [0, gens, gens]
+        assert reference[0] == pp.inv_ratio
+
+    def test_another_family_object_is_checked(self, monkeypatch):
+        g = build_hamming(2, 3)
+        kernel = optimal_mechanism(g, HALF).matrix
+        other = build_hamming(2, 3)              # an equal graph with its own family
+        assert other.certified_family == g.certified_family
+        assert other.certified_family is not g.certified_family
+        spy = CountingOperator()
+        monkeypatch.setattr(channels, "operator", spy)
+        audit, walked = watched_audit(kernel, other)
+        assert spy.itemgetters == 2 and not walked
+        assert audit_fields(audit) == audit_fields(full_scan(kernel, g))
+
+    def test_petersen_keeps_the_full_scan(self, monkeypatch):
+        g = build_petersen()
+        vt_plus_certificate(g)
+        kernel = optimal_mechanism(g, HALF).matrix
+        spy = CountingOperator()
+        monkeypatch.setattr(channels, "operator", spy)
+        audit, walked = watched_audit(kernel, g)
+        assert walked and spy.itemgetters == 0
+        assert audit_fields(audit) == audit_fields(full_scan(kernel, g))

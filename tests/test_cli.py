@@ -833,11 +833,27 @@ class TestGoldenOutput:
         assert json.loads(capsys.readouterr().out)
 
 
+def row_lists(cells, rows=st.lists):
+    """Matrix- and edge-shaped values: non-empty ``rows`` of ``cells``."""
+    return st.lists(rows(cells, min_size=1, max_size=3), min_size=1, max_size=4)
+
+
+def tuple_rows(cells, **sizes):
+    return st.lists(cells, **sizes).map(tuple)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80) | st.floats() | st.text(),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.lists(st.text(), max_size=4) | st.lists(st.integers(), max_size=4)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | row_lists(st.text()) | row_lists(st.integers(-2 ** 80, 2 ** 80))
+                   | row_lists(st.integers(), tuple_rows) | row_lists(st.text()).map(tuple)
+                   | row_lists(st.booleans() | st.integers(-2, 2))
+                   | st.lists(st.lists(st.integers(), max_size=2), min_size=2, max_size=4)
+                   | st.lists(st.lists(st.text(), min_size=1, max_size=2)
+                              | st.dictionaries(st.text(), inner, max_size=2),
+                              min_size=1, max_size=4)),
     max_leaves=20)
 
 
@@ -860,6 +876,21 @@ class TestJsonWriter:
         out = io.StringIO()
         _write_json(out.write, value)
         assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+
+    def test_a_matrix_is_streamed_one_row_per_write(self):
+        report = optimal_mechanism(build_hamming(3, 4), PrivacyParameter(Fraction(1, 3)))
+        value = report.matrix.to_dict()
+        rows = value["entries"]
+        assert len(rows) == len(rows[0]) == 64
+        writes = []
+        _write_json(writes.append, value)
+        assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2)
+        # a row two levels down, with the comma and newline before it
+        longest_row = max(len(",\n    " + json.dumps(row, indent=2).replace("\n", "\n    "))
+                          for row in rows)
+        assert max(map(len, writes)) <= longest_row
+        assert len(writes) > 64
 
 
 class TestParserReuse:

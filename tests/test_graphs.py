@@ -58,6 +58,29 @@ def independent_bfs(edges, n, source):
     return dist
 
 
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=20))
+
+
+class TestAdjacency:
+    """Neighbour lists are filled from the sorted edge list, so they come out
+    sorted without a sort of their own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_sets())
+    def test_neighbours_are_sorted_and_edges_listed(self, drawn):
+        n, pairs = drawn
+        g = Graph(n, pairs)
+        for v in range(n):
+            assert g.adjacency[v] == tuple(sorted(
+                {j for i, j in pairs if i == v} | {i for i, j in pairs if j == v}))
+        edges = sorted({(min(e), max(e)) for e in pairs})
+        assert g.to_dict() == {"n": n, "edges": [[i, j] for i, j in edges]}
+
+
 class TestConstructors:
     def test_hamming_3_2_is_the_cube(self):
         g = build_hamming(3, 2)

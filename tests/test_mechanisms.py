@@ -18,8 +18,10 @@ from dpchannel import (
     Prior,
     build_clique,
     build_cycle,
+    build_family,
     build_hamming,
     build_path,
+    build_petersen,
     compose_oblivious,
     distances,
     dp_audit,
@@ -35,6 +37,7 @@ from dpchannel import (
     to_diagonal_form,
     truncated_geometric_fixture,
     utility,
+    vt_plus_certificate,
 )
 
 from chained_audit import distance_ratio_audit
@@ -108,6 +111,58 @@ class TestOptimalMechanism:
         bundle = optimal_mechanism(build_cycle(4), HALF)
         again = MechanismBundle.from_json(bundle.to_json())
         assert again == bundle
+
+
+def _product_of_cliques(orders, relabel=None):
+    """K_v1 x ... x K_vu as a plain graph, vertex k renamed ``relabel[k]``."""
+    cells = list(itertools.product(*map(range, orders)))
+    relabel = relabel or list(range(len(cells)))
+    return Graph(len(cells), {(relabel[a], relabel[b]) for a, b in itertools.combinations(
+        range(len(cells)), 2) if sum(x != y for x, y in zip(cells[a], cells[b])) == 1})
+
+
+CARRIED_GRAPHS = {
+    **{spec: lambda spec=spec: build_family(spec) for spec in (
+        "hamming:2,3", "hamming:3,3", "hamming:4,2", "cycle:7", "cycle:8", "clique:5")},
+    "K2xK3": lambda: _product_of_cliques((2, 3)),
+    "relabelled-hamming:3,3": lambda: _product_of_cliques(
+        (3, 3, 3), [10 * k % 27 for k in range(27)]),
+}
+EPSILON_07 = PrivacyParameter.from_epsilon(0.7)     # a 54-bit ratio
+
+
+def distance_kernel(g, pp):
+    """The kernel w[d(i, j)] from all-pairs BFS, in lcm form."""
+    dm = distances(g)
+    p, q = pp.r.numerator, pp.r.denominator
+    w = [p ** d * q ** (dm.diameter - d) for d in range(dm.diameter + 1)]
+    rows = [[w[d] for d in row] for row in dm.dist]
+    return ChannelMatrix(rows, g.labels, g.labels, denominators=[sum(rows[0])] * g.n)
+
+
+class TestCarriedKernel:
+    """On a generated certified family the kernel is row 0 carried along the
+    family; it is the all-pairs distance kernel, built without the distance
+    matrix."""
+
+    @pytest.mark.parametrize("pp", [HALF, EPSILON_07], ids=["half", "epsilon-0.7"])
+    @pytest.mark.parametrize("name", list(CARRIED_GRAPHS))
+    def test_the_carried_kernel_is_the_distance_kernel(self, name, pp):
+        g = CARRIED_GRAPHS[name]()
+        assert g.certified_family.explicit is None
+        matrix = optimal_mechanism(g, pp).matrix
+        assert "distance_matrix" not in vars(g)
+        expected = distance_kernel(g, pp)
+        assert matrix.numerators == expected.numerators
+        assert matrix.denominators == expected.denominators
+        assert matrix == expected
+
+    @pytest.mark.parametrize("pp", [HALF, EPSILON_07], ids=["half", "epsilon-0.7"])
+    def test_an_explicit_family_reads_the_distance_matrix(self, pp):
+        g = build_petersen()
+        assert vt_plus_certificate(g).method == "automorphism cover search"
+        assert optimal_mechanism(g, pp).matrix == distance_kernel(g, pp)
+        assert "distance_matrix" in vars(g)
 
 
 class TestTightLeakageMatrix:

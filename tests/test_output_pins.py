@@ -200,6 +200,21 @@ def test_synth_json_is_unchanged(spec, capsys):
     assert _run(argv, capsys) == SYNTH_JSON_SHA256[spec]
 
 
+# Taken before synthesis carried the kernel along the certified family:
+# path:1 has no family, path:2 and clique:2 are recognised as K_2.
+SMALL_SYNTH_JSON_SHA256 = {
+    "path:1": "7aec14bf6de8e2016d861bb5bc861bbfb23c001d037ae47c2d45774c8fc0aa0f",
+    "path:2": "8628980e31ecac9b795a38a70e53e113bb392d5149b3808b4ee0cb8ffb7810e7",
+    "clique:2": "8628980e31ecac9b795a38a70e53e113bb392d5149b3808b4ee0cb8ffb7810e7",
+}
+
+
+@pytest.mark.parametrize("spec", list(SMALL_SYNTH_JSON_SHA256))
+def test_small_synth_json_is_unchanged(spec, capsys):
+    argv = ["synth", "--family", spec, "--ratio", "1/2", "--format", "json"]
+    assert _run(argv, capsys) == SMALL_SYNTH_JSON_SHA256[spec]
+
+
 class HashingSink:
     """A stdout that feeds each write into sha256 and keeps nothing else."""
 
