@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin two synth reports and
-certify one relabelled Hamming graph.
+"""Stdlib-only smoke check: run the demos, pin two synth reports and one
+analyze report, and certify one relabelled Hamming graph.
 
     python scripts/smoke.py
 
@@ -10,11 +10,14 @@ runs each script in ``demos/``, ``dpchannel synth --ratio 1/2 --format
 json`` on ``--family petersen`` (whose cover-search family is explicit, so
 the kernel is read from the distance matrix and audited by a full scan) and
 on ``--family hamming:3,3`` (whose kernel is carried along its coordinate
-translations), and ``dpchannel graph --graph-file`` on the 3x3x3 Hamming
-graph under a fixed vertex permutation, against the library in ``src/``.
-It checks that each exits 0, that each synth report has its pinned sha256
-and that the graph report says ``VT+: yes (coordinate translations)``, and
-exits 1 after listing every failure.
+translations), ``dpchannel analyze --ratio 1/2 --format json`` on
+hamming:3,3 with that kernel's ``matrix`` read back from a file (a matrix
+read from a file is checked for invariance before the vertex-0 audit), and
+``dpchannel graph --graph-file`` on the 3x3x3 Hamming graph under a fixed
+vertex permutation, against the library in ``src/``.  It checks that each
+exits 0, that each synth and analyze report has its pinned sha256 and that
+the graph report says ``VT+: yes (coordinate translations)``, and exits 1
+after listing every failure.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ SYNTH_SHA256 = {
     "petersen": "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
     "hamming:3,3": "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
 }
+ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114a1"
 VT_LINE = "VT+: yes (coordinate translations)"
 
 
@@ -48,6 +52,14 @@ def run(args):
                           capture_output=True, timeout=300)
 
 
+def check_digest(failures, argv, result, expected):
+    """Record a failure unless ``dpchannel argv`` exited 0 with sha256 ``expected``."""
+    digest = hashlib.sha256(result.stdout).hexdigest()
+    if result.returncode != 0 or digest != expected:
+        failures.append(f"dpchannel {' '.join(argv)}: exit {result.returncode},"
+                        f" sha256 {digest}, expected {expected}")
+
+
 def main():
     failures = []
     for script in sorted((REPO / "demos").glob("*.py")):
@@ -55,14 +67,22 @@ def main():
         if result.returncode != 0:
             failures.append(f"{script.name}: exit {result.returncode}\n"
                             f"{result.stderr.decode(errors='replace')}")
+    reports = {}
     for family, expected in SYNTH_SHA256.items():
         argv = ["synth", "--family", family, "--ratio", "1/2", "--format", "json"]
         result = run(["-m", "dpchannel.cli", *argv])
-        digest = hashlib.sha256(result.stdout).hexdigest()
-        if result.returncode != 0 or digest != expected:
-            failures.append(f"dpchannel {' '.join(argv)}: exit {result.returncode},"
-                            f" sha256 {digest}, expected {expected}")
+        reports[family] = result.stdout
+        check_digest(failures, argv, result, expected)
     with tempfile.TemporaryDirectory() as tmp:
+        matrix = pathlib.Path(tmp) / "hamming33-kernel.json"
+        try:
+            matrix.write_text(json.dumps(json.loads(reports["hamming:3,3"])["matrix"]),
+                              encoding="utf-8")
+        except ValueError:
+            pass                            # the synth failure above is reported
+        argv = ["analyze", "--family", "hamming:3,3", "--matrix", str(matrix),
+                "--ratio", "1/2", "--format", "json"]
+        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), ANALYZE_SHA256)
         path = pathlib.Path(tmp) / "hamming33.json"
         path.write_text(relabelled_hamming_3_3(), encoding="utf-8")
         result = run(["-m", "dpchannel.cli", "graph", "--graph-file", str(path)])

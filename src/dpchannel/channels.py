@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -208,6 +208,7 @@ class Prior:
         return len(self.probs)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ChannelMatrix:
     """Row-stochastic matrix of exact conditional probabilities p(col | row).
 
@@ -224,6 +225,11 @@ class ChannelMatrix:
     validated and reduced to the lcm form.  Instances are immutable,
     compare and hash by value and labels.
     """
+
+    numerators: tuple
+    denominators: tuple
+    row_labels: tuple
+    col_labels: tuple
 
     def __init__(self, entries, row_labels=None, col_labels=None, *, denominators=None):
         if denominators is None:
@@ -259,23 +265,6 @@ class ChannelMatrix:
         object.__setattr__(self, "denominators", dens)
         object.__setattr__(self, "row_labels", rl)
         object.__setattr__(self, "col_labels", cl)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.numerators, self.denominators, self.row_labels, self.col_labels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"ChannelMatrix(entries={self.entries!r}, row_labels={self.row_labels!r},"
@@ -455,30 +444,28 @@ class DpAudit:
         return self.eps_star <= pp.epsilon + tol
 
 
-def _is_invariant(matrix, fam):
-    """Does every generator g of a generated family keep the square matrix,
-    ``M[g(i)][g(j)] == M[i][j]`` for all i and j?
+def _is_invariant(matrix, graph):
+    """Is the square matrix invariant under the members of the graph's
+    generated ``certified_family``, ``M[f(i)][f(j)] == M[i][j]`` for every
+    member f?  That holds iff every row is row 0 :meth:`Graph.carried`.
 
-    Rows are compared in their unique lcm form, so equal numerators and
-    equal denominators mean equal rows.
+    The members form a regular group; let f_i be the one taking 0 to i.  If
+    ``M[i][j] == M[0][f_i^-1 j]`` for every i, then f_{g(i)} = g f_i for a
+    member g, so ``M[g(i)][g(j)] == M[0][f_i^-1 g^-1 g(j)] == M[i][j]``;
+    conversely, invariance under f_i gives ``M[i][j] == M[0][f_i^-1 j]``.
+    Rows are compared as numerators, which sum to their denominators.
 
-    A kernel ``optimal_mechanism`` carried along this very family object
-    (``_carried_along``) is invariant by construction: the members f_i are
-    automorphisms and row f_i(0) is row 0 read through f_i^-1, so
-    ``M[i][j] == w[d(0, f_i^-1 j)] == w[d(i, j)]``, which every member
-    keeps.  Any other matrix, an equal one or a copy included, is checked.
+    A kernel ``optimal_mechanism`` built by carrying its row 0 along this
+    very family object (``_carried_along``) meets the rule by construction
+    and is not checked again.  Any other matrix, an equal one or a copy
+    included, is.
     """
-    if fam is None or fam.explicit is not None or matrix.cols != matrix.rows:
+    if matrix.cols != matrix.rows:
         return False
-    if fam is getattr(matrix, "_carried_along", None):
+    fam = graph.certified_family
+    if fam is not None and fam is getattr(matrix, "_carried_along", None):
         return True
-    nums, dens = matrix.numerators, matrix.denominators
-    for gen in fam.generators:
-        carry = operator.itemgetter(*gen)         # carry(row)[j] == row[gen[j]]
-        if carry(dens) != dens or not all(
-                carry(nums[x]) == row for x, row in zip(gen, nums)):
-            return False
-    return True
+    return graph.carried(matrix.numerators[0]) == matrix.numerators
 
 
 def dp_audit(matrix, graph):
@@ -490,11 +477,10 @@ def dp_audit(matrix, graph):
     ``edge_list`` and column order.
 
     When ``graph.certified_family`` is a generated family and the square
-    matrix is invariant under its generators, only vertex 0's edges are
-    audited, and the result is exactly that of the full scan.  Invariance
-    under the generators is invariance under every member.  With f_i the
-    member taking 0 to i, the map (i, h, j) -> (0, f_i^-1 h, f_i^-1 j)
-    keeps the ratio ``M[i][j] / M[h][j]`` and sends every edge to an edge
+    matrix is invariant under its members (:func:`_is_invariant`), only
+    vertex 0's edges are audited, and the result is exactly that of the
+    full scan.  With f_i the member taking 0 to i, the map (i, h, j) ->
+    (0, f_i^-1 h, f_i^-1 j) keeps the ratio ``M[i][j] / M[h][j]`` and sends every edge to an edge
     at 0, so the worst ratio, and any zero facing a positive entry, occurs
     at vertex 0's edges.  Those edges are (0, h), the first ``degrees[0]``
     entries of the sorted ``edge_list``, so the first cell attaining the
@@ -504,7 +490,7 @@ def dp_audit(matrix, graph):
         raise ValueError("matrix rows must match the graph's vertex count")
     nums, dens = matrix.numerators, matrix.denominators
     edges = graph.edge_list
-    if _is_invariant(matrix, graph.certified_family):
+    if _is_invariant(matrix, graph):
         edges = edges[:graph.degrees[0]]
     best_num = best_den = 1
     witness = None

@@ -398,33 +398,29 @@ def cmd_compare(args):
     for name, prior in priors:
         success_a = posterior_success(prior, left)
         success_b = posterior_success(prior, right)
-        rows.append({
-            "prior": name,
-            "utility_a": format_fraction(success_a),
-            "utility_b": format_fraction(success_b),
-            "leakage_a": leakage(prior, left, success=success_a),
-            "leakage_b": leakage(prior, right, success=success_b),
-        })
+        rows.append((name, success_a, success_b, leakage(prior, left, success=success_a),
+                     leakage(prior, right, success=success_b)))
+
+    def payload():
+        return {"rows": [{"prior": name, "utility_a": format_fraction(a),
+                          "utility_b": format_fraction(b), "leakage_a": leak_a,
+                          "leakage_b": leak_b} for name, a, b, leak_a, leak_b in rows]}
 
     def csv():
         lines = ["prior,utility_a,utility_b,leakage_a,leakage_b"]
-        for row in rows:
-            lines.append(f"{row['prior']},{float(Fraction(row['utility_a'])):.6f},"
-                         f"{float(Fraction(row['utility_b'])):.6f},"
-                         f"{row['leakage_a']:.6f},{row['leakage_b']:.6f}")
+        for name, a, b, leak_a, leak_b in rows:
+            lines.append(f"{name},{float(a):.6f},{float(b):.6f},{leak_a:.6f},{leak_b:.6f}")
         return lines
 
     def text():
         lines = []
-        for row in rows:
-            lines.append(f"prior {row['prior']}:")
-            lines.append(f"  utility:  {_frac_float(Fraction(row['utility_a']))}"
-                         f"  vs  {_frac_float(Fraction(row['utility_b']))}")
-            lines.append(f"  leakage:  {row['leakage_a']:.6f} bits"
-                         f"  vs  {row['leakage_b']:.6f} bits")
+        for name, a, b, leak_a, leak_b in rows:
+            lines.append(f"prior {name}:")
+            lines.append(f"  utility:  {_frac_float(a)}  vs  {_frac_float(b)}")
+            lines.append(f"  leakage:  {leak_a:.6f} bits  vs  {leak_b:.6f} bits")
         return lines
 
-    return _emit(args, json=lambda: {"rows": rows}, text=text, csv=csv)
+    return _emit(args, json=payload, text=text, csv=csv)
 
 
 # The options each oracle method reads, with their defaults; every other
@@ -453,9 +449,10 @@ def cmd_oracle(args):
     else:
         best = None
         count = 0
+        uniform = Prior.uniform(g.n)
         for matrix in random_dp_sample(g, pp, opt["count"], opt["seed"]):
             count += 1
-            value = posterior_success(Prior.uniform(g.n), matrix)
+            value = posterior_success(uniform, matrix)
             if best is None or value > best[0]:
                 best = (value, matrix)
         report = SearchReport("random", opt["seed"], count, best[0], best[1])

@@ -147,19 +147,23 @@ class Graph:
         """The family of ``certificate``, or None."""
         return self.certificate and self.certificate.family
 
-    @cached_property
-    def distance_matrix(self):
-        """All-pairs distances, computed once per graph.
-
-        With a generated ``certified_family``, row i is the base row carried
-        along the member that takes vertex 0 to i; otherwise
-        :func:`distances` runs one BFS per vertex.
-        """
+    def carried(self, row):
+        """Vertex 0's ``row`` carried to every vertex, or None without a
+        generated ``certified_family``: row i of the n tuples returned is
+        ``row`` read through the member f that takes 0 to i, so
+        ``rows[f(0)][f(j)] == row[j]``."""
         fam = self.certified_family
         if fam is None or fam.explicit is not None:
-            return distances(self)
-        rows = _walk_from_base(fam, self.base_row)
-        return DistanceMatrix(tuple(rows[x] for x in range(self.n)), max(self.base_row))
+            return None
+        walk = _walk_from_base(fam, tuple(row))
+        return tuple(map(walk.__getitem__, range(self.n)))
+
+    @cached_property
+    def distance_matrix(self):
+        """All-pairs distances, computed once per graph: the base row
+        :meth:`carried` to every vertex, or else :func:`distances`."""
+        rows = self.carried(self.base_row)
+        return distances(self) if rows is None else DistanceMatrix(rows, max(self.base_row))
 
     @cached_property
     def is_connected(self):
@@ -205,7 +209,7 @@ class Graph:
         if labels is not None and (type(labels) is not list
                                    or any(type(x) not in (str, int) for x in labels)):
             raise ValueError("graph JSON 'labels' must be a list of strings or integers")
-        return cls(n, {tuple(e) for e in edges}, None if labels is None else tuple(labels))
+        return cls(n, map(tuple, edges), None if labels is None else tuple(labels))
 
     @classmethod
     def from_json(cls, text):
@@ -810,10 +814,11 @@ def _walk_from_base(fam, row=None):
 
     Returns ``{vertex: value}`` over the images of vertex 0 under the
     members, so fewer than n keys means two members agree at 0.  Given
-    vertex 0's distance ``row`` in a graph the generators are automorphisms
-    of, each value is that vertex's row: automorphisms preserve distance, so
-    the row of g(x) is the row of x read through g's inverse.  Without a row
-    the values are None.  Needs n >= 2, where ``itemgetter`` returns tuples.
+    vertex 0's ``row``, the row of g(x) is the row of x read through g's
+    inverse.  For a distance row in a graph the generators are automorphisms
+    of, that is the vertex's own distance row, since automorphisms preserve
+    distance.  Without a row the values are None.  Needs n >= 2, where
+    ``itemgetter`` returns tuples.
     """
     reached = {0: row}
     for gen, order in zip(fam.generators, fam.orders):

@@ -31,7 +31,7 @@ from .channels import (
     as_fraction,
     posterior_success,
 )
-from .graphs import DisconnectedGraphError, Graph, _walk_from_base, common_profile
+from .graphs import DisconnectedGraphError, Graph, common_profile
 
 
 class BaseDependentProfileError(ValueError):
@@ -157,16 +157,13 @@ def optimal_mechanism(graph, pp):
     p, q = pp.r.numerator, pp.r.denominator
     top = max(graph.base_row)      # all vertices share the profile: the diameter
     weights = [p ** d * q ** (top - d) for d in range(top + 1)]
-    fam = graph.certified_family
-    if fam is None or fam.explicit is not None:
-        fam = None
-        rows = [[weights[d] for d in row] for row in graph.distance_matrix.dist]
-    else:   # row i is row 0 carried along the member taking 0 to i; see _is_invariant
-        walk = _walk_from_base(fam, [weights[d] for d in graph.base_row])
-        rows = map(walk.__getitem__, range(graph.n))
-    matrix = ChannelMatrix(rows, graph.labels, graph.labels,
-                           denominators=[int(core * q ** top)] * graph.n)
-    object.__setattr__(matrix, "_carried_along", fam)
+    # Carried from row 0, the kernel meets _is_invariant's rule by
+    # construction; it records the family it was carried along.
+    rows = graph.carried([weights[d] for d in graph.base_row])
+    matrix = ChannelMatrix(
+        rows or [[weights[d] for d in row] for row in graph.distance_matrix.dist],
+        graph.labels, graph.labels, denominators=[int(core * q ** top)] * graph.n)
+    object.__setattr__(matrix, "_carried_along", graph.certified_family if rows else None)
     return MechanismBundle(graph, matrix, pp, 1 / core)
 
 

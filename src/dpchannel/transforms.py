@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .channels import ChannelMatrix
 from .graphs import (
     DEFAULT_SEARCH_EFFORT,
+    distance_profile,
     is_distance_regular,
     verify_family,
     vt_plus_certificate,
@@ -132,7 +133,7 @@ def _average_distance_classes(cf, graph):
     # denominator den * n * lcm(counts) its numerator is an integer.
     n, m = graph.n, cf.matrix.cols
     dm = graph.distance_matrix
-    counts = graph.profile_counts[0]
+    counts = distance_profile(graph).counts
     rows, den = cf.matrix.scaled_rows()
     sums = [0] * len(counts)
     for drow, row in zip(dm.dist, rows):

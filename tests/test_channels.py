@@ -1,8 +1,10 @@
 """Channel arithmetic: audits, entropies, leakage, capacity, serialization."""
 
+import itertools
+import json
 import math
-import operator
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,7 @@ from dpchannel import (
 )
 
 from chained_audit import distance_ratio_audit
-from dpchannel import channels
+from dpchannel import channels, graphs
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -670,24 +672,23 @@ class TestInvariantAudit:
         assert audit_fields(audit) == audit_fields(full_scan(matrix, g))
 
 
-class CountingOperator:
-    """``operator`` as ``channels`` sees it, counting ``itemgetter`` calls:
-    the invariance check makes one per generator it compares."""
+class CountingCarries:
+    """``graphs._walk_from_base``, counting the calls that carry a row: the
+    invariance check makes one, through ``Graph.carried``, per matrix it
+    compares."""
 
-    def __init__(self):
-        self.itemgetters = 0
+    def __init__(self, walk):
+        self.walk = walk
+        self.carries = 0
 
-    def __getattr__(self, name):
-        return getattr(operator, name)
-
-    def itemgetter(self, *items):
-        self.itemgetters += 1
-        return operator.itemgetter(*items)
+    def __call__(self, fam, row=None):
+        self.carries += row is not None
+        return self.walk(fam, row)
 
 
 class TestCarriedKernelAudit:
     """The synthesised kernel records the generated family it was carried
-    along and is audited from vertex 0 without the generator check; copies
+    along and is audited from vertex 0 without the invariance check; copies
     and equal matrices are checked, and audit the same."""
 
     @pytest.mark.parametrize("spec", ["hamming:2,3", "hamming:3,3", "hamming:4,2", "cycle:7",
@@ -696,23 +697,22 @@ class TestCarriedKernelAudit:
                              ids=["half", "epsilon-0.7"])
     def test_the_kernel_skips_the_check_and_copies_take_it(self, spec, pp, monkeypatch):
         g = build_family(spec)
-        gens = len(g.certified_family.generators)
         kernel = optimal_mechanism(g, pp).matrix
         relabelled = kernel.with_labels([f"x{i}" for i in range(g.n)])
         by_hand = ChannelMatrix([list(row) for row in kernel.numerators], kernel.row_labels,
                                 kernel.col_labels, denominators=list(kernel.denominators))
         assert by_hand == kernel and hash(by_hand) == hash(kernel)
         reference = audit_fields(full_scan(kernel, g))
-        spy = CountingOperator()
-        monkeypatch.setattr(channels, "operator", spy)
+        spy = CountingCarries(graphs._walk_from_base)
+        monkeypatch.setattr(graphs, "_walk_from_base", spy)
         checked = []
         for matrix in (kernel, relabelled, by_hand):
-            before = spy.itemgetters
+            before = spy.carries
             audit, walked = watched_audit(matrix, g)
-            checked.append(spy.itemgetters - before)
+            checked.append(spy.carries - before)
             assert not walked
             assert audit_fields(audit) == reference
-        assert checked == [0, gens, gens]
+        assert checked == [0, 1, 1]
         assert reference[0] == pp.inv_ratio
 
     def test_another_family_object_is_checked(self, monkeypatch):
@@ -721,18 +721,96 @@ class TestCarriedKernelAudit:
         other = build_hamming(2, 3)              # an equal graph with its own family
         assert other.certified_family == g.certified_family
         assert other.certified_family is not g.certified_family
-        spy = CountingOperator()
-        monkeypatch.setattr(channels, "operator", spy)
+        spy = CountingCarries(graphs._walk_from_base)
+        monkeypatch.setattr(graphs, "_walk_from_base", spy)
         audit, walked = watched_audit(kernel, other)
-        assert spy.itemgetters == 2 and not walked
+        assert spy.carries == 1 and not walked
         assert audit_fields(audit) == audit_fields(full_scan(kernel, g))
 
     def test_petersen_keeps_the_full_scan(self, monkeypatch):
         g = build_petersen()
         vt_plus_certificate(g)
         kernel = optimal_mechanism(g, HALF).matrix
-        spy = CountingOperator()
-        monkeypatch.setattr(channels, "operator", spy)
+        spy = CountingCarries(graphs._walk_from_base)
+        monkeypatch.setattr(graphs, "_walk_from_base", spy)
         audit, walked = watched_audit(kernel, g)
-        assert walked and spy.itemgetters == 0
+        assert walked and spy.carries == 0
         assert audit_fields(audit) == audit_fields(full_scan(kernel, g))
+
+
+def relabelled_k2_k3():
+    """K2 □ K3 read from a graph file, its vertex (a, b) numbered 5·(3a + b) mod 6."""
+    pairs = [(a, b) for a in range(2) for b in range(3)]
+    edges = [[5 * (3 * a + b) % 6, 5 * (3 * c + d) % 6] for (a, b), (c, d)
+             in itertools.combinations(pairs, 2) if (a == c) != (b == d)]
+    g = Graph.from_json(json.dumps({"n": 6, "edges": edges}))
+    assert g.certificate.method == "coordinate translations"
+    return g
+
+
+def invariant_by_brute_force(matrix, g):
+    """``M[f(i)][f(j)] == M[i][j]``, with equal row denominators, for every
+    member f of ``g.certified_family``, listed one by one."""
+    nums, dens = matrix.numerators, matrix.denominators
+    return all(dens[f[i]] == dens[i] and all(nums[f[i]][f[j]] == nums[i][j]
+                                             for j in range(g.n))
+               for f in g.certified_family.perms for i in range(g.n))
+
+
+class TestInvarianceRule:
+    """``_is_invariant`` checks one rule, every row is row 0 carried, and it
+    agrees with invariance under every member of the family."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(certified_graphs(), st.builds(relabelled_k2_k3)), st.data())
+    def test_agrees_with_every_member_checked_one_by_one(self, g, data):
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n)
+                            .filter(any), label="row 0")
+        rows = carried_rows(g, weights)
+        if data.draw(st.booleans(), label="move one unit"):
+            x = data.draw(st.integers(0, g.n - 1), label="row")
+            a = data.draw(st.sampled_from([j for j in range(g.n) if rows[x][j]]), label="from")
+            b = data.draw(st.sampled_from([j for j in range(g.n) if j != a]), label="to")
+            rows[x][a] -= 1
+            rows[x][b] += 1
+        matrix = as_channel(rows)
+        assert channels._is_invariant(matrix, g) == invariant_by_brute_force(matrix, g)
+
+
+class TestChannelMatrixValue:
+    """A ``ChannelMatrix`` is a frozen value: fields cannot be assigned or
+    deleted, and equality and hash go by numerators, denominators and labels."""
+
+    @pytest.mark.parametrize("name", ["numerators", "denominators", "row_labels",
+                                      "col_labels", "entries", "other"])
+    def test_assignment_and_deletion_are_refused(self, name):
+        m = ChannelMatrix.identity(2)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(m, name, ((1, 0), (1, 0)))
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(m, name)
+        assert m == ChannelMatrix.identity(2)
+
+    def test_equality_and_hash_go_by_rows_and_labels(self):
+        base = ChannelMatrix([[1, 1], [0, 1]], ["x", "y"], ["a", "b"], denominators=[2, 1])
+        same = ChannelMatrix.from_rows([["2/4", "1/2"], ["0", "1"]], ["x", "y"], ["a", "b"])
+        key = (base.numerators, base.denominators, base.row_labels, base.col_labels)
+        assert same == base and hash(same) == hash(base) == hash(key)
+        others = [
+            ChannelMatrix([[1, 0], [0, 1]], ["x", "y"], ["a", "b"], denominators=[1, 1]),
+            ChannelMatrix([[1, 1], [1, 1]], ["x", "y"], ["a", "b"], denominators=[2, 2]),
+            base.with_labels(row_labels=["x", "z"]),
+            base.with_labels(col_labels=["a", "c"]),
+        ]
+        assert all(other != base for other in others)
+        assert base != key and base.__eq__(key) is NotImplemented
+
+    def test_the_carried_family_takes_no_part(self):
+        g = build_hamming(2, 3)
+        kernel = optimal_mechanism(g, HALF).matrix
+        copy = ChannelMatrix(kernel.numerators, kernel.row_labels, kernel.col_labels,
+                             denominators=kernel.denominators)
+        assert kernel._carried_along is g.certified_family
+        assert not hasattr(copy, "_carried_along")
+        assert copy == kernel and hash(copy) == hash(kernel)
+        assert {kernel: 1}[copy] == 1

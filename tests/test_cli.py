@@ -1,6 +1,7 @@
 """Command-line behaviour: wiring, formats, exit codes, stability."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import itertools
@@ -974,6 +975,17 @@ class TestGraphFileShape:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edges, message", [
+        ("[[0, 5], [1, 1]]", "edge (0, 5) out of range for n=3"),
+        ("[[1, 1], [0, 5]]", "self-loop at vertex 1"),
+        ("[[0, 1], [2, 2], [1, 9]]", "self-loop at vertex 2"),
+    ])
+    def test_the_first_bad_edge_in_file_order_is_named(self, edges, message, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"n": 3, "edges": {edges}}}', encoding="utf-8")
+        assert main(["graph", "--graph-file", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_integer_labels_are_read_as_text(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text('{"n": 2, "edges": [[0, 1]], "labels": [7, "x"]}', encoding="utf-8")
@@ -993,3 +1005,133 @@ class TestGraphFileShape:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+# Input files of the rejection property, written under the test's tmp_path:
+# per kind, valid files whose sizes match some family below, and malformed
+# files.  A path to a file that is never written is a missing file.
+REJECTION_FILES = {
+    "graph": ({
+        "k3.json": '{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}',
+        "c4.json": '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "labels": [1, 2, 3, 4]}',
+        "two-edges.json": '{"n": 4, "edges": [[0, 1], [2, 3]]}',
+    }, {
+        "junk.json": "{not json",
+        "bad-edge.json": '{"n": 3, "edges": [[0, 3], [1, 1]]}',
+        "shape.json": '{"n": 0, "edges": []}',
+    }),
+    "matrix": ({
+        "m3.csv": ",a,b,c\na,1/2,1/4,1/4\nb,1/4,1/2,1/4\nc,1/4,1/4,1/2\n",
+        "m4.json": '{"entries": [["1/2", "1/2", "0", "0"], ["1/2", "1/2", "0", "0"],'
+                   ' ["0", "0", "1/2", "1/2"], ["0", "0", "1/2", "1/2"]]}',
+    }, {
+        "uneven.csv": ",a,b\na,1/2,1/3\nb,1,0\n",
+        "cell.csv": ",a,b\na,x,1\nb,1,0\n",
+        "junk.json": '{"entries": 3}',
+        "empty.csv": "",
+    }),
+    "prior": ({
+        "p3.csv": "a,1/3\nb,1/3\nc,1/3\n",
+        "p4.csv": "0,1/4\n1,1/4\n2,1/4\n3,1/4\n",
+    }, {
+        "sum.csv": "a,1/2\nb,1/3\nc,1/3\n",
+        "junk.csv": "a,b,c\n",
+    }),
+}
+FILE_OPTIONS = {"--graph-file": "graph", "--matrix": "matrix", "--matrix-a": "matrix",
+                "--matrix-b": "matrix", "--prior": "prior"}
+SMALL_INTS = ([str(k) for k in range(1, 51)], ["0", "-2", "x", "", "1.5"])
+# Each option's (valid, invalid) values; families have at most 27 vertices.
+OPTION_VALUES = {
+    "--family": (["clique:3", "clique:6", "clique:27", "cycle:4", "cycle:6", "cycle:27",
+                  "path:1", "path:3", "path:6", "petersen", "hamming:1,3", "hamming:2,2",
+                  "hamming:3,3"],
+                 ["clique:1", "cycle:2", "path:0", "path:x", "hamming:3", "hamming:2,1",
+                  "petersen:3", "star:4", ""]),
+    "--ratio": (["1/2", "1/3", "0.3", "1"], ["0", "2", "-1/2", "1/0", "x", "", "nan", "inf"]),
+    "--epsilon": (["ln2", "0.7", "0"], ["-1", "800", "inf", "nan", "x", ""]),
+    "--effort": SMALL_INTS,
+    "--iters": SMALL_INTS,
+    "--count": SMALL_INTS,
+    "--seed": (["0", "1", "-3"], ["x"]),
+    "--step": (["1/4", "1/2", "1/3", "1"], ["0", "-1/4", "2/3", "1/0", "x"]),
+    "--tolerance": (["0", "1e-9", "0.5"], ["-1", "nan", "inf", "x"]),
+    "--stage": (["diagonal", "symmetric"], ["x"]),
+    "--method": (["grid", "hillclimb", "random"], ["x"]),
+    "--format": (["text", "json", "csv"], ["x"]),
+    "--size-cap": ([str(k) for k in range(1, 31)], ["0", "-1", "x"]),
+}
+JUNK = ["--bogus", "x", "-", "--ratio=1/2", "--format=json"]
+
+
+def written_inputs(root):
+    """Write ``REJECTION_FILES`` under ``root``; return ``OPTION_VALUES`` with
+    the values of the file options and of ``--output`` added."""
+    paths = {}
+    for kind, pools in REJECTION_FILES.items():
+        (root / kind).mkdir(exist_ok=True)
+        for files in pools:
+            for name, text in files.items():
+                (root / kind / name).write_text(text, encoding="utf-8")
+        paths[kind] = [[str(root / kind / name) for name in files] for files in pools]
+        paths[kind][1].append(str(root / kind / "missing"))
+    paths["matrix"][0].append("fixture:geometric")
+    paths["matrix"][1].append("fixture:x")
+    values = {option: paths[kind] for option, kind in FILE_OPTIONS.items()}
+    values["--output"] = ["-", str(root / "out.txt")], [str(root / "no" / "out")]
+    return {**OPTION_VALUES, **values}
+
+
+@st.composite
+def cli_argvs(draw, values):
+    """An argv for ``main``: a subcommand, one option of each required group
+    and each required option (usually), other options of that subcommand
+    (sometimes), each with one of its ``values``, and now and then options
+    without a value and junk.  Values are all valid in about half the argvs."""
+    sub = TestOptionSurface.subparsers()[draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))]
+    actions = [a for a in sub._actions if a.option_strings
+               and not isinstance(a, argparse._HelpAction)]
+    groups = [g._group_actions for g in sub._mutually_exclusive_groups if g.required]
+    grouped = {id(a) for group in groups for a in group}
+    picked = [draw(st.sampled_from(group)) for group in groups]
+    picked += [a for a in actions if a.required]
+    picked = [a for a in picked if draw(st.integers(0, 9))]          # usually kept
+    picked += [a for a in actions if not a.required and id(a) not in grouped
+               and not draw(st.integers(0, 3))]
+    clean = draw(st.booleans())
+    pairs = []
+    for action in picked:
+        valid, invalid = values[action.option_strings[0]]
+        pairs.append([action.option_strings[0],
+                      draw(st.sampled_from(valid if clean else valid + invalid))])
+    if not draw(st.integers(0, 3)):
+        pairs += [[a.option_strings[0]] for a in draw(st.lists(st.sampled_from(actions),
+                                                              max_size=2))]
+        pairs += [[junk] for junk in draw(st.lists(st.sampled_from(JUNK), max_size=1))]
+    return [sub.prog.split()[-1]] + [x for pair in draw(st.permutations(pairs)) for x in pair]
+
+
+class TestRejectionProperty:
+    """Whatever argv a user types, ``main`` returns 0 or 1 or exits with a
+    usage error (2); an input error prints nothing to stdout and one
+    ``error:`` line to stderr, and no input reaches exit 3 or a traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_argv_exits_0_1_or_2(self, data, tmp_path):
+        argv = data.draw(cli_argvs(written_inputs(tmp_path)), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, (argv, exc.code)
+                return
+        assert code in (0, 1), (code, err.getvalue())
+        if code == 1:
+            assert out.getvalue() == ""
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            assert message.endswith("\n")
