@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin two synth reports and one
-analyze report, and certify one relabelled Hamming graph.
+"""Stdlib-only smoke check: run the demos, pin two synth reports, one
+analyze report and two oracle reports, and certify one relabelled Hamming
+graph.
 
     python scripts/smoke.py
 
@@ -12,12 +13,15 @@ the kernel is read from the distance matrix and audited by a full scan) and
 on ``--family hamming:3,3`` (whose kernel is carried along its coordinate
 translations), ``dpchannel analyze --ratio 1/2 --format json`` on
 hamming:3,3 with that kernel's ``matrix`` read back from a file (a matrix
-read from a file is checked for invariance before the vertex-0 audit), and
+read from a file is checked for invariance before the vertex-0 audit),
+``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
+with a seeded ``--method hillclimb`` on path:5 (whose uniform start climbs,
+so the report depends on every draw the hillclimb makes from its seed), and
 ``dpchannel graph --graph-file`` on the 3x3x3 Hamming graph under a fixed
 vertex permutation, against the library in ``src/``.  It checks that each
-exits 0, that each synth and analyze report has its pinned sha256 and that
-the graph report says ``VT+: yes (coordinate translations)``, and exits 1
-after listing every failure.
+exits 0, that each synth, analyze and oracle report has its pinned sha256
+and that the graph report says ``VT+: yes (coordinate translations)``, and
+exits 1 after listing every failure.
 """
 
 import hashlib
@@ -35,6 +39,12 @@ SYNTH_SHA256 = {
     "hamming:3,3": "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
 }
 ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114a1"
+ORACLE_SHA256 = {
+    ("--family", "clique:3", "--ratio", "1/2", "--method", "grid"):
+        "7cceb908fd81ea5f2c07a9741a795e181e6b6a63cb45b53f642e573df9048a13",
+    ("--family", "path:5", "--ratio", "1/2", "--method", "hillclimb", "--seed", "3"):
+        "9a0a426d01e7bdec909bc7239a06fb064c99cf8ba740c67e796307e76c2ca608",
+}
 VT_LINE = "VT+: yes (coordinate translations)"
 
 
@@ -73,6 +83,9 @@ def main():
         result = run(["-m", "dpchannel.cli", *argv])
         reports[family] = result.stdout
         check_digest(failures, argv, result, expected)
+    for options, expected in ORACLE_SHA256.items():
+        argv = ["oracle", *options, "--format", "json"]
+        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), expected)
     with tempfile.TemporaryDirectory() as tmp:
         matrix = pathlib.Path(tmp) / "hamming33-kernel.json"
         try:

@@ -31,6 +31,7 @@ ratio and the audit reports eps_star = inf.
 """
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -122,14 +123,29 @@ def log2_fraction(q):
     return math.log2(q.numerator) - math.log2(q.denominator)
 
 
+def _digits(x):
+    """``str(x)`` for an int of any length.
+
+    ``str`` refuses ints past the interpreter's conversion limit (4300
+    digits by default); ``decimal`` spells those, so every exact value is
+    printed in full, while input parsing keeps the limit.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return str(decimal.Decimal(x))
+
+
 def format_fraction(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def _format_ratio(num, den):
     """``format_fraction(Fraction(num, den))`` without building the Fraction."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    return _digits(num // g) if g == den else f"{_digits(num // g)}/{_digits(den // g)}"
 
 
 class _Spelling(dict):

@@ -105,11 +105,14 @@ def _load_prior(path, matrix):
 
 
 def _exact(option, text):
-    """``as_fraction(text)``, naming the option and text on a zero denominator."""
+    """``as_fraction(text)``, naming the option, the text and its fault."""
     try:
         return as_fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{option} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{option} {text!r} is not a rational number (p/q or a decimal)"
+                         ) from None
 
 
 def _privacy(args):
@@ -117,7 +120,12 @@ def _privacy(args):
         return PrivacyParameter.from_ratio(_exact("--ratio", args.ratio))
     if args.epsilon == "ln2":
         return PrivacyParameter.from_ratio(Fraction(1, 2))
-    return PrivacyParameter.from_epsilon(float(args.epsilon))
+    try:
+        eps = float(args.epsilon)
+    except ValueError:
+        raise ValueError(f"--epsilon {args.epsilon!r} is not a number (a decimal, or ln2)"
+                         ) from None
+    return PrivacyParameter.from_epsilon(eps)
 
 
 # How json spells a str and an int (not a bool, whose type is bool).

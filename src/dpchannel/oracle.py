@@ -18,11 +18,13 @@ All randomness flows from an explicit seed through ``random.Random`` so
 every report reproduces bit for bit.
 """
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import ChannelMatrix, as_fraction, dp_audit
+from .channels import ChannelMatrix, _digits, as_fraction, dp_audit
 from .graphs import DisconnectedGraphError, InternalError, SizeCapError, UNREACHABLE
 from .mechanisms import BaseDependentProfileError, optimal_mechanism
 
@@ -44,11 +46,12 @@ class SearchReport:
     best_matrix: ChannelMatrix
 
     def to_dict(self):
+        utility = self.best_utility
         d = {
             "method": self.method,
             "trials": self.trials,
-            "best_utility": f"{self.best_utility.numerator}/{self.best_utility.denominator}",
-            "best_utility_float": float(self.best_utility),
+            "best_utility": f"{_digits(utility.numerator)}/{_digits(utility.denominator)}",
+            "best_utility_float": float(utility),
             "best_matrix": self.best_matrix.to_dict(),
         }
         if self.seed is not None:
@@ -70,10 +73,14 @@ def grid_search_optimal(graph, pp, step):
 
     ``step`` must divide 1; every row is a composition of 1/step grid units.
     Square matrices lose no generality for binary utility (column merging
-    preserves both feasibility and the column-maxima sum).  Ties keep the
-    first assignment in lexicographic candidate order, so the report is
-    deterministic.  Domains beyond three vertices are refused: the grid
-    simplex explodes combinatorially.
+    preserves both feasibility and the column-maxima sum).  Vertices are
+    assigned in order, each vertex's candidate rows in lexicographic order,
+    and ties keep the first assignment in that depth-first order, so the
+    report is deterministic.  ``trials`` counts the feasible complete
+    assignments: at the last vertex the candidates left are one bitmask,
+    counted by its popcount and each scored against the column maxima
+    carried down the search.  Domains beyond three vertices are refused:
+    the grid simplex explodes combinatorially.
     """
     n = graph.n
     if n > GRID_VERTEX_CAP:
@@ -85,46 +92,52 @@ def grid_search_optimal(graph, pp, step):
     cands = list(_compositions(q, n))
     rn, rd = pp.r.numerator, pp.r.denominator
 
-    def compatible(a, b):
-        # both directions of the adjacent-column ratio cap, in integers
-        return all(rn * x <= rd * y and rn * y <= rd * x for x, y in zip(a, b))
+    # holding[j][y]: the candidates with y units in column j, as a bitmask
+    holding = [[0] * (q + 1) for _ in range(n)]
+    for c, cand in enumerate(cands):
+        for j, y in enumerate(cand):
+            holding[j][y] |= 1 << c
+    # near[j][x]: the candidates with y units in column j that may sit beside
+    # x units there: rn*x <= rd*y and rn*y <= rd*x, so ceil(r*x) <= y <= x/r
+    near = [[functools.reduce(operator.or_, col[-(-rn * x // rd):rd * x // rn + 1], 0)
+             for x in range(q + 1)] for col in holding]
+    # compat[c]: the candidates allowed beside candidate c on an edge
+    compat = [functools.reduce(operator.and_, (near[j][x] for j, x in enumerate(cand)))
+              for cand in cands]
 
-    k = len(cands)
-    compat = [0] * k
-    for x in range(k):
-        for y in range(x, k):
-            if compatible(cands[x], cands[y]):
-                compat[x] |= 1 << y
-                compat[y] |= 1 << x
-
-    full_mask = (1 << k) - 1
+    full_mask = (1 << len(cands)) - 1
     adj = graph.adjacency
-    assign = [-1] * n
+    last = n - 1
+    assign = [0] * n
     best_total = -1
     best_assign = None
     trials = 0
 
-    def backtrack(v):
+    def backtrack(v, colmax):
+        # colmax: the column maxima of the rows assigned to vertices 0 .. v-1
         nonlocal best_total, best_assign, trials
-        if v == n:
-            trials += 1
-            total = sum(max(cands[assign[i]][j] for i in range(n)) for j in range(n))
-            if total > best_total:
-                best_total = total
-                best_assign = assign.copy()
-            return
         mask = full_mask
         for u in adj[v]:
-            if assign[u] != -1:
+            if u < v:
                 mask &= compat[assign[u]]
+        if v == last:
+            trials += mask.bit_count()
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                c = low.bit_length() - 1
+                total = sum(map(max, colmax, cands[c]))
+                if total > best_total:  # strictly: ties keep the first in DFS order
+                    best_total = total
+                    best_assign = assign[:last] + [c]
+            return
         while mask:
             low = mask & -mask
             mask ^= low
-            assign[v] = low.bit_length() - 1
-            backtrack(v + 1)
-        assign[v] = -1
+            c = assign[v] = low.bit_length() - 1
+            backtrack(v + 1, tuple(map(max, colmax, cands[c])))
 
-    backtrack(0)
+    backtrack(0, (0,) * n)
     if best_assign is None:
         raise InternalError("grid search found no feasible matrix, which cannot happen")
     matrix = ChannelMatrix([cands[c] for c in best_assign], denominators=[q] * n)
@@ -144,6 +157,13 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     uniform channel on graphs the synthesiser refuses (base-dependent or
     disconnected).  A one-column start has no move and is returned as is,
     with zero trials.
+
+    Each step draws its row, its two columns and its transfer of 1 to 16
+    units from ``random.Random(seed).getrandbits``, as ``randrange(n)``,
+    ``randrange(m)``, ``randrange(m - 1)`` and ``randint(1, 16)`` draw them
+    in CPython 3.10 to 3.13: a value below b is ``getrandbits(b.bit_length())``,
+    drawn again until it is below b.  So a report is reproducible from its
+    seed alone.
     """
     n = graph.n
     if start is None:
@@ -171,13 +191,26 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
         return True
 
     steps = iters if m > 1 else 0   # one column admits no transfer
+    draw = rng.getrandbits
+    bits_n, bits_m, bits_k = n.bit_length(), m.bit_length(), (m - 1).bit_length()
     for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(m)
-        k = rng.randrange(m - 1)
+        # randrange(n), randrange(m), randrange(m - 1) and randint(1, 16), inline
+        # (see the docstring): the calls into random.py cost more than the step
+        i = draw(bits_n)
+        while i >= n:
+            i = draw(bits_n)
+        j = draw(bits_m)
+        while j >= m:
+            j = draw(bits_m)
+        k = draw(bits_k)
+        while k >= m - 1:
+            k = draw(bits_k)
         if k >= j:
             k += 1
-        delta = rng.randint(1, 16) * den
+        units = draw(5)
+        while units >= 16:
+            units = draw(5)
+        delta = (units + 1) * den
         if entries[i][j] < delta:
             continue
         new_j = entries[i][j] - delta

@@ -1,18 +1,39 @@
-"""The three certificate searches as they checked candidates before bitmasks.
+"""Library searches as they were before their fast rewrites, kept as references.
 
-Each function is the earlier library search verbatim, except that it also
-returns the number of candidate placements (nodes) it tried, so the tests
-can check that the bitmask searches in ``dpchannel.graphs`` try the same
-nodes in the same order: a search that completes here in N nodes must
-return the same result at ``effort=N`` there and run out of budget at
-N - 1.  They re-check each candidate against every earlier placement, in
-O(depth) steps per node, which is slow but easy to read.
+The three certificate searches check candidates as they did before
+bitmasks.  Each function is the earlier library search verbatim, except
+that it also returns the number of candidate placements (nodes) it tried,
+so the tests can check that the bitmask searches in ``dpchannel.graphs``
+try the same nodes in the same order: a search that completes here in N
+nodes must return the same result at ``effort=N`` there and run out of
+budget at N - 1.  They re-check each candidate against every earlier
+placement, in O(depth) steps per node, which is slow but easy to read.
+
+The two oracle searches, :func:`grid_search_optimal` and
+:func:`hillclimb_utility`, are the earlier ``dpchannel.oracle`` functions
+verbatim: the grid scores every feasible assignment at its leaf, and the
+hillclimb draws through ``randrange`` and ``randint``.  The library must
+return an equal ``SearchReport`` for every input.
 """
 
 import collections
+import random
+from fractions import Fraction
 
-from dpchannel import AutomorphismFamily, SearchBudgetError
+from dpchannel import (
+    AutomorphismFamily,
+    BaseDependentProfileError,
+    ChannelMatrix,
+    DisconnectedGraphError,
+    InternalError,
+    SearchBudgetError,
+    SearchReport,
+    SizeCapError,
+    as_fraction,
+    optimal_mechanism,
+)
 from dpchannel.graphs import _refined_colors, _search_order
+from dpchannel.oracle import GRID_VERTEX_CAP
 
 
 def automorphism_group(g, effort):
@@ -144,3 +165,150 @@ def sharply_transitive_family(perms, n, effort):
             for v in range(n):
                 used[v] &= ~(1 << p[v])
     return AutomorphismFamily(tuple(chosen)), nodes
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def grid_search_optimal(graph, pp, step):
+    """Exhaustive search over grid-valued square channels, best feasible utility.
+
+    ``step`` must divide 1; every row is a composition of 1/step grid units.
+    Square matrices lose no generality for binary utility (column merging
+    preserves both feasibility and the column-maxima sum).  Ties keep the
+    first assignment in lexicographic candidate order, so the report is
+    deterministic.  Domains beyond three vertices are refused: the grid
+    simplex explodes combinatorially.
+    """
+    n = graph.n
+    if n > GRID_VERTEX_CAP:
+        raise SizeCapError(f"grid search is exhaustive only up to {GRID_VERTEX_CAP} vertices")
+    step = as_fraction(step)
+    if step <= 0 or (1 / step).denominator != 1:
+        raise ValueError("step must be a positive rational that divides 1")
+    q = int(1 / step)
+    cands = list(_compositions(q, n))
+    rn, rd = pp.r.numerator, pp.r.denominator
+
+    def compatible(a, b):
+        # both directions of the adjacent-column ratio cap, in integers
+        return all(rn * x <= rd * y and rn * y <= rd * x for x, y in zip(a, b))
+
+    k = len(cands)
+    compat = [0] * k
+    for x in range(k):
+        for y in range(x, k):
+            if compatible(cands[x], cands[y]):
+                compat[x] |= 1 << y
+                compat[y] |= 1 << x
+
+    full_mask = (1 << k) - 1
+    adj = graph.adjacency
+    assign = [-1] * n
+    best_total = -1
+    best_assign = None
+    trials = 0
+
+    def backtrack(v):
+        nonlocal best_total, best_assign, trials
+        if v == n:
+            trials += 1
+            total = sum(max(cands[assign[i]][j] for i in range(n)) for j in range(n))
+            if total > best_total:
+                best_total = total
+                best_assign = assign.copy()
+            return
+        mask = full_mask
+        for u in adj[v]:
+            if assign[u] != -1:
+                mask &= compat[assign[u]]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            assign[v] = low.bit_length() - 1
+            backtrack(v + 1)
+        assign[v] = -1
+
+    backtrack(0)
+    if best_assign is None:
+        raise InternalError("grid search found no feasible matrix, which cannot happen")
+    matrix = ChannelMatrix([cands[c] for c in best_assign], denominators=[q] * n)
+    return SearchReport("grid", None, trials, Fraction(best_total, q * n), matrix)
+
+
+def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
+    """Seeded local search over privacy-feasible channels.
+
+    Each step proposes moving a random rational amount of mass between two
+    columns of one row; proposals that violate the exact ratio constraint
+    against any neighbouring row are rejected, and surviving proposals are
+    accepted when they do not lower the uniform-prior utility.  The best
+    matrix seen is reported (max reduction, earliest on ties).
+
+    ``start`` defaults to the synthesised optimum, falling back to the
+    uniform channel on graphs the synthesiser refuses (base-dependent or
+    disconnected).  A one-column start has no move and is returned as is,
+    with zero trials.
+    """
+    n = graph.n
+    if start is None:
+        try:
+            start = optimal_mechanism(graph, pp).matrix
+        except (BaseDependentProfileError, DisconnectedGraphError):
+            start = ChannelMatrix([[1] * n] * n, denominators=[n] * n)
+    if start.rows != n:
+        raise ValueError("start matrix rows must match the graph's vertex count")
+    rng = random.Random(seed)
+    m = start.cols
+    rows, den = start.scaled_rows()
+    entries = [[256 * x for x in row] for row in rows]     # over 256 * den; steps are k/256
+    colmax = [max(col) for col in zip(*entries)]
+    best_success = success = sum(colmax)
+    best_entries = [row.copy() for row in entries]
+    adj = graph.adjacency
+    p, q = pp.r.numerator, pp.r.denominator
+
+    def feasible(i, j, value):
+        for h in adj[i]:
+            other = entries[h][j]
+            if p * value > q * other or p * other > q * value:
+                return False
+        return True
+
+    steps = iters if m > 1 else 0   # one column admits no transfer
+    for _ in range(steps):
+        i = rng.randrange(n)
+        j = rng.randrange(m)
+        k = rng.randrange(m - 1)
+        if k >= j:
+            k += 1
+        delta = rng.randint(1, 16) * den
+        if entries[i][j] < delta:
+            continue
+        new_j = entries[i][j] - delta
+        new_k = entries[i][k] + delta
+        if not (feasible(i, j, new_j) and feasible(i, k, new_k)):
+            continue
+        reduced_j = max([new_j] + [entries[h][j] for h in range(n) if h != i])
+        reduced_k = max([new_k] + [entries[h][k] for h in range(n) if h != i])
+        new_success = success - colmax[j] - colmax[k] + reduced_j + reduced_k
+        if new_success < success:
+            continue
+        entries[i][j] = new_j
+        entries[i][k] = new_k
+        colmax[j] = reduced_j
+        colmax[k] = reduced_k
+        success = new_success
+        if success > best_success:
+            best_success = success
+            best_entries = [row.copy() for row in entries]
+
+    matrix = ChannelMatrix(best_entries, start.row_labels, start.col_labels,
+                           denominators=[256 * den] * n)
+    return SearchReport("hillclimb", seed, steps, Fraction(best_success, 256 * den * n), matrix)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import decimal
 import hashlib
 import io
 import itertools
@@ -19,12 +20,17 @@ from dpchannel import (
     DpAudit,
     Graph,
     PrivacyParameter,
+    Prior,
     build_clique,
     build_cycle,
     build_hamming,
+    distance_profile,
     distances,
     optimal_mechanism,
+    posterior_success,
+    random_dp_sample,
     truncated_geometric_fixture,
+    utility_bound,
     vt_plus_certificate,
 )
 from dpchannel import cli, graphs, oracle
@@ -541,7 +547,16 @@ class TestPrivacyValues:
          "epsilon must be a finite non-negative number"),
         (["synth", "--family", "cycle:4", "--epsilon", "800"],
          "epsilon 800 is too large: e^-epsilon underflows to 0"),
-    ], ids=["ratio-1/0", "step-1/0", "epsilon-nan", "epsilon-inf", "epsilon-800"])
+        (["synth", "--family", "cycle:4", "--ratio", "x"],
+         "--ratio 'x' is not a rational number (p/q or a decimal)"),
+        (["synth", "--family", "cycle:4", "--ratio", "inf"],
+         "--ratio 'inf' is not a rational number (p/q or a decimal)"),
+        (["oracle", "--family", "clique:3", "--ratio", "1/2", "--method", "grid",
+          "--step", "x"], "--step 'x' is not a rational number (p/q or a decimal)"),
+        (["synth", "--family", "cycle:4", "--epsilon", "x"],
+         "--epsilon 'x' is not a number (a decimal, or ln2)"),
+    ], ids=["ratio-1/0", "step-1/0", "epsilon-nan", "epsilon-inf", "epsilon-800",
+            "ratio-x", "ratio-inf", "step-x", "epsilon-x"])
     def test_the_value_and_its_fault_are_named(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -698,6 +713,25 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_utility"] == "1/1"
         assert payload["trials"] == 0
+
+    def test_results_past_the_int_conversion_limit_print_in_full(self, capsys):
+        # at epsilon 0.7 the seeded sample on cycle:27 has a utility, and a
+        # gap to the bound, whose terms run past the 4300 digits str() spells
+        g = build_cycle(27)
+        pp = PrivacyParameter.from_epsilon(0.7)
+        utility = posterior_success(Prior.uniform(27), next(random_dp_sample(g, pp, 1, 0)))
+        gap = utility_bound(distance_profile(g), pp).probability - utility
+        assert min(utility.denominator, gap.denominator) > 10 ** 4300
+        spelt = {q: f"{decimal.Decimal(q.numerator)}/{decimal.Decimal(q.denominator)}"
+                 for q in (utility, gap)}
+        args = ["oracle", "--family", "cycle:27", "--epsilon", "0.7",
+                "--method", "random", "--count", "1", "--seed", "0"]
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["best_utility"] == spelt[utility]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith(f"best utility: {spelt[utility]} (= ")
+        assert lines[4].endswith(f" (gap {spelt[gap]})")
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         args = ["oracle", "--family", "cycle:4", "--ratio", "1/2",
