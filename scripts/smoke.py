@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin two synth reports, one
+"""Stdlib-only smoke check: run the demos, pin three synth reports, one
 analyze report and two oracle reports, and certify one relabelled Hamming
 graph.
 
@@ -17,8 +17,11 @@ read from a file is checked for invariance before the vertex-0 audit),
 ``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
 with a seeded ``--method hillclimb`` on path:5 (whose uniform start climbs,
 so the report depends on every draw the hillclimb makes from its seed), and
-``dpchannel graph --graph-file`` on the 3x3x3 Hamming graph under a fixed
-vertex permutation, against the library in ``src/``.  It checks that each
+``dpchannel graph --graph-file`` and ``dpchannel synth --graph-file --ratio
+1/2 --format json`` on the 3x3x3 Hamming graph under a fixed vertex
+permutation (the synth report embeds the graph as read from the file, so
+its pin covers the graph constructor and the edge list written back from
+the adjacency), against the library in ``src/``.  It checks that each
 exits 0, that each synth, analyze and oracle report has its pinned sha256
 and that the graph report says ``VT+: yes (coordinate translations)``, and
 exits 1 after listing every failure.
@@ -38,6 +41,7 @@ SYNTH_SHA256 = {
     "petersen": "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
     "hamming:3,3": "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
 }
+GRAPH_FILE_SYNTH_SHA256 = "f354814cad5cbf9de43ccfad16e7ee36d3ac799ec2a5a8e019162e109cb5e22d"
 ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114a1"
 ORACLE_SHA256 = {
     ("--family", "clique:3", "--ratio", "1/2", "--method", "grid"):
@@ -98,6 +102,9 @@ def main():
         check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), ANALYZE_SHA256)
         path = pathlib.Path(tmp) / "hamming33.json"
         path.write_text(relabelled_hamming_3_3(), encoding="utf-8")
+        argv = ["synth", "--graph-file", str(path), "--ratio", "1/2", "--format", "json"]
+        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]),
+                     GRAPH_FILE_SYNTH_SHA256)
         result = run(["-m", "dpchannel.cli", "graph", "--graph-file", str(path)])
     if result.returncode != 0 or VT_LINE not in result.stdout.decode().splitlines():
         failures.append(f"dpchannel graph --graph-file (relabelled hamming:3,3):"

@@ -15,6 +15,7 @@ byte-identical reports.
 """
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -76,11 +77,12 @@ def _load_graph(args):
     if args.family:
         return build_family(args.family, size_cap=cap)
     with open(args.graph_file, encoding="utf-8") as fh:
-        g = Graph.from_json(fh.read())
-    if g.n > cap:
+        data = json.load(fh)
+    n = data.get("n") if isinstance(data, dict) else None
+    if type(n) is int and n > cap:         # refused before any per-vertex allocation
         raise SizeCapError(
-            f"graph file {args.graph_file} has {g.n} vertices, above the cap of {cap}")
-    return g
+            f"graph file {args.graph_file} has {n} vertices, above the cap of {cap}")
+    return Graph.from_dict(data)
 
 
 def _load_matrix(path):
@@ -229,14 +231,13 @@ def cmd_graph(args):
     # Certify first: a "yes" records its family on g, and the profile and
     # distance-regularity below are then read from vertex 0's one BFS.
     cert = vt_plus_certificate(g, effort=args.effort)
-    hist = {}
-    for d in g.degrees:
-        hist[d] = hist.get(d, 0) + 1
-    payload = {"n": g.n, "edges": len(g.edge_list),
+    hist = collections.Counter(g.degrees)
+    edges = sum(g.degrees) // 2
+    payload = {"n": g.n, "edges": edges,
                "degree_histogram": {str(k): v for k, v in sorted(hist.items())},
                "connected": g.is_connected}
     lines = [f"vertices: {g.n}",
-             f"edges: {len(g.edge_list)}",
+             f"edges: {edges}",
              "degrees: " + ", ".join(f"{k} (x{v})" for k, v in sorted(hist.items())),
              f"connected: {'yes' if g.is_connected else 'no'}"]
     if g.is_connected:

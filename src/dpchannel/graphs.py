@@ -3,9 +3,11 @@
 Everything downstream (channel audits, leakage bounds, mechanism synthesis)
 is driven by an undirected adjacency structure: the domain of secrets, the
 domain of query answers, or the clique of values a single participant can
-take.  This module builds the standard domains (Hamming product domains,
-cliques, cycles, paths, the Petersen graph) and classifies the two
-symmetry families everything else relies on:
+take.  A :class:`Graph` stores it once, as one sorted neighbour tuple per
+vertex (``graph.adjacency``), which every reader walks; its edge list and
+edge set are derived on demand.  This module builds the standard domains
+(Hamming product domains, cliques, cycles, paths, the Petersen graph) and
+classifies the two symmetry families everything else relies on:
 
 * distance-regular graphs, certified by an intersection array, and
 * graphs admitting n automorphisms that move any fixed vertex through
@@ -73,52 +75,53 @@ class InternalError(RuntimeError):
     """An internal invariant failed: a bug in the library, not in the input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1``.
+    """Simple undirected graph on vertices ``0 .. n-1``, stored as
+    ``adjacency``: vertex v's neighbours as one sorted tuple.
 
-    Edges are stored as a frozenset of ``(i, j)`` pairs with ``i < j``;
-    arbitrary iterables of pairs are normalised on construction.  Labels
-    are optional display names, one per vertex.
+    ``edges`` may be any iterable of ``(i, j)`` pairs, in either orientation
+    and with repeats, read in one pass that reports the first bad pair.
+    Labels are optional display names, one per vertex.  Instances compare
+    and hash by ``(n, adjacency, labels)``.
     """
 
     n: int
-    edges: frozenset
-    labels: tuple | None = None
+    adjacency: tuple
+    labels: tuple | None
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n, edges, labels=None):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("vertex count must be a positive integer")
-        norm = set()
-        for edge in self.edges:
+        nbrs = [[] for _ in range(n)]
+        for edge in edges:
             i, j = edge
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {edge!r} out of range for n={self.n}")
-            norm.add((i, j) if i < j else (j, i))
-        object.__setattr__(self, "edges", frozenset(norm))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.n:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge {edge!r} out of range for n={n}")
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(set(a))) for a in nbrs))
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != n:
                 raise ValueError("label count must equal vertex count")
-            if len(set(labels)) < self.n:
+            if len(set(labels)) < n:
                 label = next(x for x, k in collections.Counter(labels).items() if k > 1)
                 raise ValueError(f"vertex label {label!r} given twice")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels)
 
     @cached_property
     def edge_list(self):
-        """Edges as a sorted tuple, for deterministic iteration."""
-        return tuple(sorted(self.edges))
+        """The edges ``(i, j)``, i < j, sorted: each row's higher neighbours."""
+        return tuple((i, j) for i, row in enumerate(self.adjacency) for j in row if j > i)
 
     @cached_property
-    def adjacency(self):
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.edge_list:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(map(tuple, nbrs))      # sorted, as filled from the sorted edge_list
+    def edges(self):
+        """The edges as a frozenset of ``(i, j)`` pairs with ``i < j``."""
+        return frozenset(self.edge_list)
 
     @cached_property
     def degrees(self):
@@ -178,9 +181,6 @@ class Graph:
         if not self.is_connected:
             raise DisconnectedGraphError("distance profile needs a connected graph")
         return tuple(_strata(row) for row in self.distance_matrix.dist)
-
-    def neighbors(self, v):
-        return self.adjacency[v]
 
     def label(self, v):
         return self.labels[v] if self.labels is not None else str(v)
@@ -351,8 +351,8 @@ def _hamming_edges(tuples, v):
     """Index pairs of base-v ordered tuples that differ in exactly one coordinate."""
     u = len(tuples[0])
     strides = [v ** (u - 1 - i) for i in range(u)]
-    return {(idx, idx + (val - d) * stride) for idx, tup in enumerate(tuples)
-            for d, stride in zip(tup, strides) for val in range(d + 1, v)}
+    return ((idx, idx + (val - d) * stride) for idx, tup in enumerate(tuples)
+            for d, stride in zip(tup, strides) for val in range(d + 1, v))
 
 
 def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
@@ -384,14 +384,14 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
 def build_clique(n):
     if n < 2:
         raise ValueError("a clique needs at least two vertices")
-    return Graph(n, {(i, j) for i in range(n) for j in range(i + 1, n)})
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def build_cycle(n):
     """The n-cycle, which records its rotation i -> i + 1 as its ``certificate``."""
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
-    g = Graph(n, {(i, (i + 1) % n) for i in range(n)})
+    g = Graph(n, ((i, (i + 1) % n) for i in range(n)))
     sigma = (*range(1, n), 0)
     _certified(g, AutomorphismFamily(generators=(sigma,), orders=(n,)), "single-orbit powers")
     return g
@@ -400,15 +400,13 @@ def build_cycle(n):
 def build_path(n):
     if n < 1:
         raise ValueError("a path needs at least one vertex")
-    return Graph(n, {(i, i + 1) for i in range(n - 1)})
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def build_petersen():
     """Outer 5-cycle, inner pentagram, five spokes: 10 vertices, 3-regular."""
-    edges = {(i, (i + 1) % 5) for i in range(5)}
-    edges |= {(i, i + 5) for i in range(5)}
-    edges |= {(5 + i, 5 + (i + 2) % 5) for i in range(5)}
-    return Graph(10, edges)
+    return Graph(10, (e for i in range(5)
+                      for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))))
 
 
 def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
@@ -856,35 +854,28 @@ def verify_family(g, fam):
     does not have n members of n vertices each.
     """
     n = g.n
-    full = set(range(n))
-    if fam.explicit is None:
-        gens = fam.generators
-        if math.prod(fam.orders) != n or any(len(p) != n for p in gens):
-            raise ValueError("family must consist of n permutations of n vertices")
-        if any(set(p) != full or not _maps_edges_to_edges(g, p) for p in gens):
-            return False
-        for a, b in itertools.combinations(gens, 2):
-            if any(a[b[x]] != b[a[x]] for x in range(n)):
-                return False
-        return len(_walk_from_base(fam)) == n
-    if len(fam.explicit) != n or any(len(p) != n for p in fam.explicit):
+    perms = fam.generators if fam.explicit is None else fam.explicit
+    members = math.prod(fam.orders) if fam.explicit is None else len(perms)
+    if members != n or any(len(p) != n for p in perms):
         raise ValueError("family must consist of n permutations of n vertices")
-    for perm in fam.explicit:
-        if set(perm) != full or not _maps_edges_to_edges(g, perm):
+    full = set(range(n))
+    nbr_sets = [set(row) for row in g.adjacency]
+    if any(set(p) != full or not _maps_edges_to_edges(g, p, nbr_sets) for p in perms):
+        return False
+    if fam.explicit is not None:
+        return all({p[v] for p in perms} == full for v in range(n))
+    for a, b in itertools.combinations(perms, 2):
+        if any(a[b[x]] != b[a[x]] for x in range(n)):
             return False
-    for v in range(n):
-        if {perm[v] for perm in fam.explicit} != full:
-            return False
-    return True
+    return len(_walk_from_base(fam)) == n
 
 
-def _maps_edges_to_edges(g, perm):
-    edges = g.edges
-    for i, j in g.edge_list:
-        a, b = perm[i], perm[j]
-        if ((a, b) if a < b else (b, a)) not in edges:
-            return False
-    return True
+def _maps_edges_to_edges(g, perm, nbr_sets):
+    """Whether the permutation ``perm`` sends every neighbour of each vertex
+    v to a neighbour of ``perm[v]``; ``nbr_sets[w]`` is w's neighbour set."""
+    image = perm.__getitem__
+    return all(nbr_sets[image(v)].issuperset(map(image, row))
+               for v, row in enumerate(g.adjacency))
 
 
 def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):

@@ -224,7 +224,7 @@ def compose_oblivious(secret_graph, answer_map, bundle):
     matrix = bundle.matrix
     composite = ChannelMatrix([matrix.numerators[y] for y in f], secret_graph.labels,
                               matrix.col_labels, denominators=[matrix.denominators[y] for y in f])
-    induced = {(f[i], f[j]) for i, j in secret_graph.edge_list if f[i] != f[j]}
+    induced = ((f[i], f[j]) for i, j in secret_graph.edge_list if f[i] != f[j])
     answer_graph = Graph(bundle.graph.n, induced, bundle.graph.labels)
     return composite, answer_graph
 

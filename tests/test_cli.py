@@ -168,7 +168,7 @@ def all_pairs_report(g):
     """The ``graph --format json`` payload, from all-pairs distances and an
     all-pairs distance-regularity count."""
     rows = distances(g).dist
-    degrees = [len(g.neighbors(v)) for v in range(g.n)]
+    degrees = [len(g.adjacency[v]) for v in range(g.n)]
     payload = {"n": g.n, "edges": len(g.edges),
                "degree_histogram": {str(d): degrees.count(d) for d in sorted(set(degrees))},
                "connected": UNREACHABLE not in rows[0], "distance_regular": False}
@@ -180,7 +180,7 @@ def all_pairs_report(g):
         b, c = {}, {}
         for x, y in itertools.product(range(g.n), repeat=2):
             i = rows[x][y]
-            near = [rows[x][z] for z in g.neighbors(y)]
+            near = [rows[x][z] for z in g.adjacency[y]]
             b.setdefault(i, set()).add(near.count(i + 1))
             c.setdefault(i, set()).add(near.count(i - 1))
         if all(len(b[i]) == len(c[i]) == 1 for i in b):
@@ -213,11 +213,14 @@ class TestGraphFileSizeCap:
     @pytest.mark.parametrize("n, code", [(10, 0), (11, 1)], ids=["at-cap", "above-cap"])
     def test_cap_is_checked_before_any_distance_work(
             self, n, code, source, tmp_path, monkeypatch, capsys):
-        passes = []
+        passes, built = [], []
         bfs = graphs._bfs
         monkeypatch.setattr(graphs, "_bfs", lambda g, v: passes.append(v) or bfs(g, v))
         path = tmp_path / f"cycle{n}.json"
         path.write_text(build_cycle(n).to_json(), encoding="utf-8")
+        init = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
         argv = ["graph", "--graph-file", str(path)]
         if source == "flag":
             argv += ["--size-cap", "10"]
@@ -226,7 +229,7 @@ class TestGraphFileSizeCap:
         assert main(argv) == code
         captured = capsys.readouterr()
         if code:
-            assert passes == []
+            assert passes == [] and built == []
             assert (f"error: graph file {path} has 11 vertices, above the cap of 10"
                     in captured.err)
         else:

@@ -66,19 +66,28 @@ def edge_sets(draw):
 
 
 class TestAdjacency:
-    """Neighbour lists are filled from the sorted edge list, so they come out
-    sorted without a sort of their own."""
+    """The stored form is one sorted neighbour tuple per vertex, whatever
+    the order, orientation and repeats of the pairs it was built from;
+    ``edges`` and ``edge_list`` are read back from it."""
 
     @settings(max_examples=200, deadline=None)
     @given(edge_sets())
     def test_neighbours_are_sorted_and_edges_listed(self, drawn):
-        n, pairs = drawn
+        n, drawn_pairs = drawn
+        # every other pair again reversed, every third again as drawn
+        pairs = drawn_pairs + [(j, i) for i, j in drawn_pairs[::2]] + drawn_pairs[::3]
         g = Graph(n, pairs)
         for v in range(n):
             assert g.adjacency[v] == tuple(sorted(
                 {j for i, j in pairs if i == v} | {i for i, j in pairs if j == v}))
-        edges = sorted({(min(e), max(e)) for e in pairs})
-        assert g.to_dict() == {"n": n, "edges": [[i, j] for i, j in edges]}
+        edges = frozenset((min(e), max(e)) for e in pairs)
+        assert g.edges == edges
+        assert g.edge_list == tuple(sorted(edges))
+        assert g.to_dict() == {"n": n, "edges": [[i, j] for i, j in sorted(edges)]}
+        backwards = Graph(n, reversed(pairs))
+        assert backwards == g and hash(backwards) == hash(g)
+        assert Graph(g.n, g.edges) == g
+        assert Graph.from_json(g.to_json()) == g
 
 
 class TestConstructors:
@@ -283,8 +292,8 @@ class TestDistanceRegularity:
         for x in range(g.n):
             for y in range(g.n):
                 i = dm.d(x, y)
-                closer = sum(1 for z in g.neighbors(y) if dm.d(x, z) == i - 1)
-                further = sum(1 for z in g.neighbors(y) if dm.d(x, z) == i + 1)
+                closer = sum(1 for z in g.adjacency[y] if dm.d(x, z) == i - 1)
+                further = sum(1 for z in g.adjacency[y] if dm.d(x, z) == i + 1)
                 if i >= 1:
                     assert closer == array.c[i - 1]
                 if i < dm.diameter:
@@ -786,15 +795,20 @@ def _clique_product_graph(orders):
         enumerate(tuples), 2) if sum(a != b for a, b in zip(s, t)) == 1})
 
 
+def _maps_edge_set_onto_itself(g, perm):
+    """Whether the image of the edge set under ``perm`` is the edge set."""
+    edges = {frozenset(e) for e in g.edges}
+    return {frozenset((perm[i], perm[j])) for i, j in g.edges} == edges
+
+
 def _is_sharply_transitive(g, perms):
     """The all-permutations check, written here: n permutations, each
     mapping the edge set onto itself, that send each vertex to every vertex
     exactly once."""
-    edges = {frozenset(e) for e in g.edges}
     everyone = list(range(g.n))
     return (len(perms) == g.n
             and all(sorted(p) == everyone for p in perms)
-            and all({frozenset((p[i], p[j])) for i, j in g.edges} == edges for p in perms)
+            and all(_maps_edge_set_onto_itself(g, p) for p in perms)
             and all(sorted(p[v] for p in perms) == everyone for v in range(g.n)))
 
 
@@ -845,6 +859,29 @@ def near_products(draw):
     return _relabelled(g, draw(st.permutations(range(g.n))))
 
 
+@st.composite
+def permuted_graphs(draw):
+    """A graph and a vertex permutation that may or may not preserve its
+    edges: a permutation of a near product, or of a graph with isolated
+    vertices, or a member of its certified family; or a Hamming translation
+    on the Hamming graph after double-edge swaps, which keeps every degree."""
+    kind = draw(st.sampled_from(["near", "isolated", "swapped"]))
+    if kind == "swapped":
+        u, v = draw(st.sampled_from([(2, 3), (3, 2), (2, 4), (3, 3)]))
+        rnd = draw(st.randoms(use_true_random=False))
+        g = Graph(v ** u, _swapped(build_hamming(u, v).edges, rnd, draw(st.integers(0, 3))))
+        return g, draw(st.sampled_from(hamming_translation_family(u, v).perms))
+    if kind == "near":
+        g = draw(near_products())
+    else:
+        n, pairs = draw(edge_sets())
+        g = Graph(n + 2, pairs)                 # vertices n and n + 1 are isolated
+    perms = [tuple(draw(st.permutations(range(g.n))))]
+    if g.certificate is not None:
+        perms += g.certified_family.perms
+    return g, draw(st.sampled_from(perms))
+
+
 class TestCliqueProducts:
     """Products of cliques are certified from their structure, and a
     graph that is not one never gets a "yes" it does not deserve."""
@@ -892,3 +929,11 @@ class TestCliqueProducts:
                              ids=["K1", "two-vertices", "six-vertices"])
     def test_graphs_without_edges_at_0_are_declined(self, g):
         assert graphs._clique_product(g) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=permuted_graphs())
+    def test_the_neighbour_set_check_agrees_with_the_edge_set_image(self, drawn):
+        g, perm = drawn
+        nbr_sets = [set(row) for row in g.adjacency]
+        assert graphs._maps_edges_to_edges(g, perm, nbr_sets) == _maps_edge_set_onto_itself(
+            g, perm)
