@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin three synth reports, one
+"""Stdlib-only smoke check: run the demos, pin five synth reports, one
 analyze report and two oracle reports, and certify one relabelled Hamming
 graph.
 
@@ -9,9 +9,12 @@ It needs nothing beyond the standard library, so it runs on every supported
 Python (3.10 and later), including those without pytest or Hypothesis.  It
 runs each script in ``demos/``, ``dpchannel synth --ratio 1/2 --format
 json`` on ``--family petersen`` (whose cover-search family is explicit, so
-the kernel is read from the distance matrix and audited by a full scan) and
-on ``--family hamming:3,3`` (whose kernel is carried along its coordinate
-translations), ``dpchannel analyze --ratio 1/2 --format json`` on
+the kernel is read from the distance matrix, spelt row by row and audited
+by a full scan) and on ``--family hamming:3,3`` (whose kernel, and its row
+0 as spelt, are carried along its coordinate translations), the text
+report (the kernel as CSV) of the same hamming:3,3 synth, ``dpchannel
+synth --family cycle:31 --ratio 2/3 --format json`` (a kernel carried by
+the powers of one rotation), ``dpchannel analyze --ratio 1/2 --format json`` on
 hamming:3,3 with that kernel's ``matrix`` read back from a file (a matrix
 read from a file is checked for invariance before the vertex-0 audit),
 ``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
@@ -37,9 +40,15 @@ import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+HAMMING_33_JSON = ("--family", "hamming:3,3", "--ratio", "1/2", "--format", "json")
 SYNTH_SHA256 = {
-    "petersen": "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
-    "hamming:3,3": "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
+    ("--family", "petersen", "--ratio", "1/2", "--format", "json"):
+        "968c9a60297e2bbdb344bddb640f3347c2f6a8120172b3719ac5c2e9b0876890",
+    HAMMING_33_JSON: "d6a4bfc085e782ee01d6fe8a3f4d4ef332787faace62e8d58041ebaff2f4cd5c",
+    ("--family", "cycle:31", "--ratio", "2/3", "--format", "json"):
+        "8082492b5e3d81f240849a08e5138eec2235635a67cbfc2dafd50983ca8af405",
+    ("--family", "hamming:3,3", "--ratio", "1/2"):
+        "91b563c1749073021016bf7ba7ddcff388bb215b6ffe906d1afb7b61b0237d01",
 }
 GRAPH_FILE_SYNTH_SHA256 = "f354814cad5cbf9de43ccfad16e7ee36d3ac799ec2a5a8e019162e109cb5e22d"
 ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114a1"
@@ -82,10 +91,10 @@ def main():
             failures.append(f"{script.name}: exit {result.returncode}\n"
                             f"{result.stderr.decode(errors='replace')}")
     reports = {}
-    for family, expected in SYNTH_SHA256.items():
-        argv = ["synth", "--family", family, "--ratio", "1/2", "--format", "json"]
+    for options, expected in SYNTH_SHA256.items():
+        argv = ["synth", *options]
         result = run(["-m", "dpchannel.cli", *argv])
-        reports[family] = result.stdout
+        reports[options] = result.stdout
         check_digest(failures, argv, result, expected)
     for options, expected in ORACLE_SHA256.items():
         argv = ["oracle", *options, "--format", "json"]
@@ -93,7 +102,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         matrix = pathlib.Path(tmp) / "hamming33-kernel.json"
         try:
-            matrix.write_text(json.dumps(json.loads(reports["hamming:3,3"])["matrix"]),
+            matrix.write_text(json.dumps(json.loads(reports[HAMMING_33_JSON])["matrix"]),
                               encoding="utf-8")
         except ValueError:
             pass                            # the synth failure above is reported

@@ -42,6 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
+from .graphs import _walk_from_base
+
 DEFAULT_LN_TOL = 1e-9
 # Published tables rounded to three decimals can nominally overshoot the
 # declared epsilon by a couple of thousandths; audit those with this profile.
@@ -149,13 +151,13 @@ def _format_ratio(num, den):
 
 
 class _Spelling(dict):
-    """Memo of numerator -> ``_format_ratio(numerator, den)`` for one ``den``."""
+    """Memo of numerator -> ``_format_ratio(numerator, den)``, quoted, for one ``den``."""
 
-    def __init__(self, den):
-        self.den = den
+    def __init__(self, den, quote=""):
+        self.den, self.quote = den, quote
 
     def __missing__(self, num):
-        text = self[num] = _format_ratio(num, self.den)
+        text = self[num] = self.quote + _format_ratio(num, self.den) + self.quote
         return text
 
 
@@ -239,7 +241,9 @@ class ChannelMatrix:
     is given, ``entries`` holds integer numerators instead and row i is
     ``entries[i]`` over ``denominators[i]``.  Either way the rows are
     validated and reduced to the lcm form.  Instances are immutable,
-    compare and hash by value and labels.
+    compare and hash by value and labels.  CSV and JSON spell each value
+    once per denominator, and a kernel carried from its row 0 spells that
+    row alone and carries the texts (``_formatted_rows``).
     """
 
     numerators: tuple
@@ -352,18 +356,26 @@ class ChannelMatrix:
 
     # -- serialization ------------------------------------------------------
 
-    def _formatted_rows(self):
-        """Each row as reduced ``num/den`` texts, each value spelt once per denominator."""
+    def _formatted_rows(self, quote=""):
+        """The rows as reduced ``num/den`` texts between ``quote`` marks (digits
+        and a slash: ``'"'`` spells their JSON), each value once per row
+        denominator.  A kernel carried along a family (``_carried_along``)
+        spells row 0 and carries it as its numerators were carried."""
+        fam = getattr(self, "_carried_along", None)
+        if fam is not None:
+            spell = _Spelling(self.denominators[0], quote)
+            walk = _walk_from_base(fam, tuple(map(spell.__getitem__, self.numerators[0])))
+            return map(walk.__getitem__, range(self.rows))
         memos = {}
-        for row, den in zip(self.numerators, self.denominators):
-            yield list(map(memos.setdefault(den, _Spelling(den)).__getitem__, row))
+        return (list(map(memos.setdefault(den, _Spelling(den, quote)).__getitem__, row))
+                for row, den in zip(self.numerators, self.denominators))
 
     def to_csv(self):
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + list(self.col_labels))
         for label, row in zip(self.row_labels, self._formatted_rows()):
-            writer.writerow([label] + row)
+            writer.writerow((label, *row))
         return out.getvalue()
 
     @classmethod
@@ -379,7 +391,7 @@ class ChannelMatrix:
         return {
             "row_labels": list(self.row_labels),
             "col_labels": list(self.col_labels),
-            "entries": list(self._formatted_rows()),
+            "entries": list(map(list, self._formatted_rows())),
         }
 
     def to_json(self):
@@ -498,16 +510,16 @@ def dp_audit(matrix, graph):
     full scan.  With f_i the member taking 0 to i, the map (i, h, j) ->
     (0, f_i^-1 h, f_i^-1 j) keeps the ratio ``M[i][j] / M[h][j]`` and sends every edge to an edge
     at 0, so the worst ratio, and any zero facing a positive entry, occurs
-    at vertex 0's edges.  Those edges are (0, h), the first ``degrees[0]``
-    entries of the sorted ``edge_list``, so the first cell attaining the
-    worst ratio, which is the witness, lies in that prefix too.
+    at vertex 0's edges.  Those edges are (0, h) for h in ``adjacency[0]``,
+    in order: exactly the first ``degrees[0]`` entries of the sorted
+    ``edge_list``, which is not built.  So the first cell attaining the
+    worst ratio, the witness, is the full scan's.
     """
     if matrix.rows != graph.n:
         raise ValueError("matrix rows must match the graph's vertex count")
     nums, dens = matrix.numerators, matrix.denominators
-    edges = graph.edge_list
-    if _is_invariant(matrix, graph):
-        edges = edges[:graph.degrees[0]]
+    edges = ([(0, h) for h in graph.adjacency[0]] if _is_invariant(matrix, graph)
+             else graph.edge_list)
     best_num = best_den = 1
     witness = None
     for i, h in edges:

@@ -15,6 +15,7 @@ byte-identical reports.
 """
 
 import argparse
+import bisect
 import collections
 import functools
 import itertools
@@ -140,6 +141,13 @@ def _spelling(items):
     return _JSON_SPELLING.get(kinds.pop()) if len(kinds) == 1 else None
 
 
+class _Spelt:
+    """A list of non-empty lists whose cells are already spelt as JSON:
+    ``rows`` yields each inner list, in order, as a sequence of those texts."""
+    def __init__(self, rows):
+        self.rows = rows
+
+
 def _write_json(write, value, pad="\n"):
     """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` spells it.
 
@@ -148,36 +156,41 @@ def _write_json(write, value, pad="\n"):
     string keys, sorted) and lists or tuples are written item by item,
     except that a list of strings only (a matrix row, the labels) or of
     ints only (an edge) is spelt in one join, by ``json``'s own
-    ``encode_basestring_ascii`` or ``int.__repr__``, and so is each list, in
-    one ``write``, of a list of non-empty such lists of one type (the matrix
-    entries, the edges); every other value is spelt by ``json.dumps``.
-    ``pad`` is the newline and indentation before the closing bracket.
+    ``encode_basestring_ascii`` or ``int.__repr__``.  A :class:`_Spelt`
+    block (synth's kernel rows and edges) is written one join, and one
+    ``write``, per row, its cells taken as spelt; so is a list of non-empty
+    such lists of one type, after one type check.  Every other value is
+    spelt by ``json.dumps``.  ``pad`` is the newline and indentation before
+    the closing bracket.
     """
+    inner = pad + "  "
     if isinstance(value, dict) and value:
-        inner = pad + "  "
         sep = "{" + inner
         for key in sorted(value):
             write(sep + encode_basestring_ascii(key) + ": ")
             _write_json(write, value[key], inner)
             sep = "," + inner
         write(pad + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        if spell := _spelling(value):
-            write("[" + inner + ("," + inner).join(map(spell, value)) + pad + "]")
-            return
-        spell = set(map(type, value)) <= {list, tuple} and all(value) and _spelling(
-            itertools.chain.from_iterable(value))
+    elif isinstance(value, _Spelt):
         cell = "," + inner + "  "
         sep = "[" + inner
-        for item in value:
-            if spell:
-                write(sep + "[" + cell[1:] + cell.join(map(spell, item)) + inner + "]")
-            else:
+        for row in value.rows:
+            write(sep + "[" + cell[1:] + cell.join(row) + inner + "]")
+            sep = "," + inner
+        write(pad + "]" if sep[0] == "," else "[]")
+    elif isinstance(value, (list, tuple)) and value:
+        if spell := _spelling(value):
+            write("[" + inner + ("," + inner).join(map(spell, value)) + pad + "]")
+        elif set(map(type, value)) <= {list, tuple} and all(value) and (
+                spell := _spelling(itertools.chain.from_iterable(value))):
+            _write_json(write, _Spelt(map(spell, item) for item in value), pad)
+        else:
+            sep = "[" + inner
+            for item in value:
                 write(sep)
                 _write_json(write, item, inner)
-            sep = "," + inner
-        write(pad + "]")
+                sep = "," + inner
+            write(pad + "]")
     else:
         write(json.dumps(value))
 
@@ -382,16 +395,31 @@ def cmd_synth(args):
     g = _load_graph(args)
     pp = _privacy(args)
     bundle = optimal_mechanism(g, pp)
-    audit = dp_audit(bundle.matrix, g)
-    return _emit(args, json=lambda: {
-        **bundle.to_dict(), "utility": format_fraction(bundle.c), "eps_star": audit.eps_star,
-    }, text=lambda: [
+    matrix = bundle.matrix
+    audit = dp_audit(matrix, g)
+
+    def payload():
+        # bundle.to_dict(), its edges spelt off the adjacency rows (j > i)
+        # and its entries as the matrix spells them, plus utility and eps_star
+        names = list(map(str, range(g.n)))
+        graph = {"n": g.n, "edges": _Spelt((names[i], names[j]) for i, row in enumerate(
+            g.adjacency) for j in row[bisect.bisect(row, i):])}
+        if g.labels is not None:
+            graph["labels"] = g.labels
+        return {"graph": graph, "matrix": {
+            "row_labels": matrix.row_labels, "col_labels": matrix.col_labels,
+            "entries": _Spelt(matrix._formatted_rows('"'))},
+            "r_num": pp.r.numerator, "r_den": pp.r.denominator, "c_num": bundle.c.numerator,
+            "c_den": bundle.c.denominator, "utility": format_fraction(bundle.c),
+            "eps_star": audit.eps_star}
+
+    return _emit(args, json=payload, text=lambda: [
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
         f"normaliser c: {_frac_float(bundle.c)}",
         f"uniform-prior utility: {_frac_float(bundle.c)} (equals the bound by construction)",
         f"eps_star: {_fmt_eps(audit.eps_star)}",
         "",
-        bundle.matrix.to_csv().rstrip("\n"),
+        matrix.to_csv().rstrip("\n"),
     ])
 
 

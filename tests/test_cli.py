@@ -7,10 +7,12 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dpchannel import (
@@ -24,8 +26,12 @@ from dpchannel import (
     build_clique,
     build_cycle,
     build_hamming,
+    build_path,
+    build_petersen,
     distance_profile,
     distances,
+    dp_audit,
+    format_fraction,
     optimal_mechanism,
     posterior_success,
     random_dp_sample,
@@ -35,6 +41,7 @@ from dpchannel import (
 )
 from dpchannel import cli, graphs, oracle
 from dpchannel.cli import _write_json, build_parser, main
+from test_channels import certified_graphs
 
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 
@@ -916,7 +923,7 @@ class TestJsonWriter:
         assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
 
 
-    def test_a_matrix_is_streamed_one_row_per_write(self):
+    def test_a_matrix_is_streamed_one_row_per_write(self, monkeypatch):
         report = optimal_mechanism(build_hamming(3, 4), PrivacyParameter(Fraction(1, 3)))
         value = report.matrix.to_dict()
         rows = value["entries"]
@@ -924,11 +931,62 @@ class TestJsonWriter:
         writes = []
         _write_json(writes.append, value)
         assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2)
-        # a row two levels down, with the comma and newline before it
-        longest_row = max(len(",\n    " + json.dumps(row, indent=2).replace("\n", "\n    "))
-                          for row in rows)
-        assert max(map(len, writes)) <= longest_row
+
+        def longest_row(pad):
+            # a row at indentation pad, with the comma and newline before it
+            return max(len("," + pad + json.dumps(row, indent=2).replace("\n", pad))
+                       for row in rows)
+
+        assert max(map(len, writes)) <= longest_row("\n    ")
         assert len(writes) > 64
+        # the synth report writes the carried kernel's spelt rows the same
+        # way, one row, one level further down, per write
+        writes.clear()
+        monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=writes.append))
+        assert main(["synth", "--family", "hamming:3,4", "--ratio", "1/3", "--format", "json"]) == 0
+        monkeypatch.undo()
+        assert json.loads("".join(writes))["matrix"]["entries"] == rows
+        assert max(map(len, writes)) <= longest_row("\n      ")
+        assert len(writes) > 2 * 64
+
+
+def small_ratios():
+    return st.integers(1, 7).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q)))
+
+
+class TestSynthReport:
+    """``synth`` streams its report from spelt blocks: the edges read off the
+    adjacency rows and, for a carried kernel, row 0 spelt once and carried."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(certified_graphs(), st.sampled_from(
+        [build_petersen(), build_path(1), build_path(2)])), small_ratios())
+    def test_the_streamed_report_is_the_dumped_bundle(self, g, r):
+        assume(g.is_connected)
+        bundle = optimal_mechanism(g, PrivacyParameter(r))
+        assert (bundle.matrix._carried_along is not None) == (g.certified_family is not None)
+        payload = {**bundle.to_dict(), "utility": format_fraction(bundle.c),
+                   "eps_star": dp_audit(bundle.matrix, g).eps_star}
+        # the spelt rows, carried or not, against each cell spelt on its own
+        assert payload["matrix"]["entries"] == [
+            list(map(format_fraction, row)) for row in bundle.matrix.entries]
+        out = io.StringIO()
+        with mock.patch.object(cli, "_load_graph", lambda args: g), \
+                contextlib.redirect_stdout(out):
+            assert main(["synth", "--family", "drawn", "--ratio", format_fraction(r),
+                         "--format", "json"]) == 0
+        assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("spec", ["hamming:3,4", "cycle:31", "clique:40"])
+    def test_a_carried_report_builds_no_edge_list(self, spec, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_family", lambda *a, **k: built.append(
+            graphs.build_family(*a, **k)) or built[-1])
+        assert main(["synth", "--family", spec, "--ratio", "1/2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["graph"]["n"] == built[0].n
+        (g,) = built
+        assert g.certified_family.explicit is None
+        assert "edge_list" not in g.__dict__
 
 
 class TestParserReuse:

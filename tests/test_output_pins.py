@@ -200,6 +200,22 @@ def test_synth_json_is_unchanged(spec, capsys):
     assert _run(argv, capsys) == SYNTH_JSON_SHA256[spec]
 
 
+# Text reports (the kernel as CSV) at r = 2/3, taken while every row of a
+# carried kernel was still spelt on its own; Petersen's kernel is not carried.
+SYNTH_TEXT_SHA256 = {
+    "hamming:3,4": "b5aede023c236e436f89769f743087874aac86d24635de5b83143718c429a926",
+    "clique:40": "4ea3f357dff2990a8b587fda00904c1195d21aae032014ba5b9bc7329be1ec08",
+    "cycle:31": "3500774c747fcef4e0c8e411dbebd9bbb24e6308cba3a6004342fd1bb5042efe",
+    "petersen": "32db44abd3cb1f3f05ec72a1adf6525569a2fceef9d559ffbacbe0ccfae0689b",
+}
+
+
+@pytest.mark.parametrize("spec", list(SYNTH_TEXT_SHA256))
+def test_synth_text_is_unchanged(spec, capsys):
+    argv = ["synth", "--family", spec, "--ratio", "2/3", "--format", "text"]
+    assert _run(argv, capsys) == SYNTH_TEXT_SHA256[spec]
+
+
 # Taken before synthesis carried the kernel along the certified family:
 # path:1 has no family, path:2 and clique:2 are recognised as K_2.
 SMALL_SYNTH_JSON_SHA256 = {
