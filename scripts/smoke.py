@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Stdlib-only smoke check: run the demos, pin five synth reports, one
-analyze report and two oracle reports, and certify one relabelled Hamming
-graph.
+analyze and one transform report, two oracle reports and two graph reports,
+and certify one relabelled Hamming graph.
 
     python scripts/smoke.py
 
@@ -17,17 +17,21 @@ synth --family cycle:31 --ratio 2/3 --format json`` (a kernel carried by
 the powers of one rotation), ``dpchannel analyze --ratio 1/2 --format json`` on
 hamming:3,3 with that kernel's ``matrix`` read back from a file (a matrix
 read from a file is checked for invariance before the vertex-0 audit),
-``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
+``dpchannel transform --format json`` on hamming:3,3 with the same file
+(its symmetric form is not carried, so its matrix block is spelt row by
+row), ``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
 with a seeded ``--method hillclimb`` on path:5 (whose uniform start climbs,
-so the report depends on every draw the hillclimb makes from its seed), and
-``dpchannel graph --graph-file`` and ``dpchannel synth --graph-file --ratio
-1/2 --format json`` on the 3x3x3 Hamming graph under a fixed vertex
-permutation (the synth report embeds the graph as read from the file, so
-its pin covers the graph constructor and the edge list written back from
-the adjacency), against the library in ``src/``.  It checks that each
-exits 0, that each synth, analyze and oracle report has its pinned sha256
-and that the graph report says ``VT+: yes (coordinate translations)``, and
-exits 1 after listing every failure.
+so the report depends on every draw the hillclimb makes from its seed),
+``dpchannel graph --family petersen`` as JSON (its flat lists spelt by
+``json``) and as text (read off the same payload), and ``dpchannel graph
+--graph-file`` and ``dpchannel synth --graph-file --ratio 1/2 --format
+json`` on the 3x3x3 Hamming graph under a fixed vertex permutation (the
+synth report embeds the graph as read from the file, so its pin covers the
+graph constructor and the edge list written back from the adjacency),
+against the library in ``src/``.  It checks that each exits 0, that each
+synth, analyze, transform, oracle and petersen graph report has its pinned
+sha256 and that the relabelled graph's report says ``VT+: yes (coordinate
+translations)``, and exits 1 after listing every failure.
 """
 
 import hashlib
@@ -57,6 +61,11 @@ ORACLE_SHA256 = {
         "7cceb908fd81ea5f2c07a9741a795e181e6b6a63cb45b53f642e573df9048a13",
     ("--family", "path:5", "--ratio", "1/2", "--method", "hillclimb", "--seed", "3"):
         "9a0a426d01e7bdec909bc7239a06fb064c99cf8ba740c67e796307e76c2ca608",
+}
+TRANSFORM_SHA256 = "f8dcd97fe67be579517ff4b3851dfb648375cad4b045436b423e08bbc04d316d"
+GRAPH_SHA256 = {
+    ("--format", "json"): "86fefc343a207001185a3bf716ba404d6a270d944fa8935a2a1dcca81377d929",
+    ("--format", "text"): "2d05b764cc6799acf8ae18c82d5f8c0df9f8d8510c09ecb0a1267829dbaea7f7",
 }
 VT_LINE = "VT+: yes (coordinate translations)"
 
@@ -99,6 +108,9 @@ def main():
     for options, expected in ORACLE_SHA256.items():
         argv = ["oracle", *options, "--format", "json"]
         check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), expected)
+    for options, expected in GRAPH_SHA256.items():
+        argv = ["graph", "--family", "petersen", *options]
+        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), expected)
     with tempfile.TemporaryDirectory() as tmp:
         matrix = pathlib.Path(tmp) / "hamming33-kernel.json"
         try:
@@ -109,6 +121,9 @@ def main():
         argv = ["analyze", "--family", "hamming:3,3", "--matrix", str(matrix),
                 "--ratio", "1/2", "--format", "json"]
         check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), ANALYZE_SHA256)
+        argv = ["transform", "--family", "hamming:3,3", "--matrix", str(matrix),
+                "--format", "json"]
+        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), TRANSFORM_SHA256)
         path = pathlib.Path(tmp) / "hamming33.json"
         path.write_text(relabelled_hamming_3_3(), encoding="utf-8")
         argv = ["synth", "--graph-file", str(path), "--ratio", "1/2", "--format", "json"]

@@ -18,7 +18,6 @@ import argparse
 import bisect
 import collections
 import functools
-import itertools
 import json
 import math
 import os
@@ -33,6 +32,7 @@ from .channels import (
     DEFAULT_LN_TOL,
     PrivacyParameter,
     Prior,
+    _digits,
     as_fraction,
     column_maxima_sum,
     dp_audit,
@@ -131,16 +131,6 @@ def _privacy(args):
     return PrivacyParameter.from_epsilon(eps)
 
 
-# How json spells a str and an int (not a bool, whose type is bool).
-_JSON_SPELLING = {str: encode_basestring_ascii, int: int.__repr__}
-
-
-def _spelling(items):
-    """The ``_JSON_SPELLING`` entry of the one type all ``items`` share, or None."""
-    kinds = set(map(type, items))
-    return _JSON_SPELLING.get(kinds.pop()) if len(kinds) == 1 else None
-
-
 class _Spelt:
     """A list of non-empty lists whose cells are already spelt as JSON:
     ``rows`` yields each inner list, in order, as a sequence of those texts."""
@@ -148,20 +138,26 @@ class _Spelt:
         self.rows = rows
 
 
+def _matrix_json(matrix):
+    """``matrix.to_dict()`` with its entries as a :class:`_Spelt` block."""
+    return {"row_labels": matrix.row_labels, "col_labels": matrix.col_labels,
+            "entries": _Spelt(matrix._formatted_rows('"'))}
+
+
 def _write_json(write, value, pad="\n"):
     """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` spells it.
 
     CPython encodes with ``indent`` in pure Python, one call per value; this
-    writer streams the same bytes through ``write`` instead.  Dicts (with
-    string keys, sorted) and lists or tuples are written item by item,
-    except that a list of strings only (a matrix row, the labels) or of
-    ints only (an edge) is spelt in one join, by ``json``'s own
-    ``encode_basestring_ascii`` or ``int.__repr__``.  A :class:`_Spelt`
-    block (synth's kernel rows and edges) is written one join, and one
-    ``write``, per row, its cells taken as spelt; so is a list of non-empty
-    such lists of one type, after one type check.  Every other value is
-    spelt by ``json.dumps``.  ``pad`` is the newline and indentation before
-    the closing bracket.
+    writer streams the same bytes through ``write`` instead.  A dict (with
+    string keys, sorted) is written item by item, and so is a list or tuple
+    that holds a dict, list or tuple.  Any other non-empty list or tuple is
+    spelt by one ``json.dumps`` call without ``indent`` (``json``'s C
+    encoder), its brackets padded as ``indent`` pads them.  A
+    :class:`_Spelt` block (a report's matrix entries, synth's edges) is
+    written one join, and one ``write``, per row, its cells taken as spelt.
+    An int (not a bool) is spelt in full, past the interpreter's digit limit
+    for ``str``; every other value is spelt by ``json.dumps``.  ``pad`` is
+    the newline and indentation before the closing bracket.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value:
@@ -179,20 +175,18 @@ def _write_json(write, value, pad="\n"):
             sep = "," + inner
         write(pad + "]" if sep[0] == "," else "[]")
     elif isinstance(value, (list, tuple)) and value:
-        if spell := _spelling(value):
-            write("[" + inner + ("," + inner).join(map(spell, value)) + pad + "]")
-        elif set(map(type, value)) <= {list, tuple} and all(value) and (
-                spell := _spelling(itertools.chain.from_iterable(value))):
-            _write_json(write, _Spelt(map(spell, item) for item in value), pad)
-        else:
+        if any(isinstance(item, (dict, list, tuple)) for item in value):
             sep = "[" + inner
             for item in value:
                 write(sep)
                 _write_json(write, item, inner)
                 sep = "," + inner
             write(pad + "]")
+        else:
+            spelt = json.dumps(value, separators=("," + inner, ": "))
+            write("[" + inner + spelt[1:-1] + pad + "]")
     else:
-        write(json.dumps(value))
+        write(_digits(value) if type(value) is int else json.dumps(value))
 
 
 def _emit(args, **renderers):
@@ -245,43 +239,38 @@ def cmd_graph(args):
     # distance-regularity below are then read from vertex 0's one BFS.
     cert = vt_plus_certificate(g, effort=args.effort)
     hist = collections.Counter(g.degrees)
-    edges = sum(g.degrees) // 2
-    payload = {"n": g.n, "edges": edges,
+    payload = {"n": g.n, "edges": sum(g.degrees) // 2,
                "degree_histogram": {str(k): v for k, v in sorted(hist.items())},
-               "connected": g.is_connected}
-    lines = [f"vertices: {g.n}",
-             f"edges: {edges}",
-             "degrees: " + ", ".join(f"{k} (x{v})" for k, v in sorted(hist.items())),
-             f"connected: {'yes' if g.is_connected else 'no'}"]
+               "connected": g.is_connected, "distance_regular": False,
+               "vt_plus": cert.status, "vt_plus_method": cert.method}
     if g.is_connected:
-        profile = distance_profile(g, 0)
         shared = common_profile(g)
-        diameter = shared.diameter if shared is not None else g.distance_matrix.diameter
-        payload.update({
-            "diameter": diameter,
-            "profile_base_0": list(profile.counts),
-            "profile_base_independent": shared is not None,
-        })
-        lines.append(f"diameter: {diameter}")
-        lines.append("profile (base 0): " + ", ".join(str(c) for c in profile.counts))
-        lines.append("profile base-independent: " + ("yes" if shared else "no"))
+        payload.update(
+            diameter=shared.diameter if shared is not None else g.distance_matrix.diameter,
+            profile_base_0=list(distance_profile(g, 0).counts),
+            profile_base_independent=shared is not None)
         array = is_distance_regular(g)
         if array is not None:
             payload["distance_regular"] = True
             payload["intersection_array"] = {"b": list(array.b), "c": list(array.c)}
-            lines.append("distance-regular: yes")
-            lines.append(f"intersection array: b={tuple(array.b)} c={tuple(array.c)}")
-        else:
-            payload["distance_regular"] = False
-            lines.append("distance-regular: no")
-    else:
-        payload["distance_regular"] = False
-        lines.append("diameter: infinite (disconnected)")
-        lines.append("distance-regular: no")
-    payload["vt_plus"] = cert.status
-    payload["vt_plus_method"] = cert.method
-    lines.append(f"VT+: {cert.status} ({cert.method})")
-    return _emit(args, json=lambda: payload, text=lambda: lines)
+
+    def text():
+        p, yes = payload, {True: "yes", False: "no"}
+        lines = [f"vertices: {p['n']}", f"edges: {p['edges']}",
+                 "degrees: " + ", ".join(f"{k} (x{v})" for k, v in p["degree_histogram"].items()),
+                 f"connected: {yes[p['connected']]}",
+                 f"diameter: {p.get('diameter', 'infinite (disconnected)')}"]
+        if p["connected"]:
+            lines.append("profile (base 0): " + ", ".join(map(str, p["profile_base_0"])))
+            lines.append(f"profile base-independent: {yes[p['profile_base_independent']]}")
+        lines.append(f"distance-regular: {yes[p['distance_regular']]}")
+        if "intersection_array" in p:
+            b, c = (tuple(p["intersection_array"][k]) for k in "bc")
+            lines.append(f"intersection array: b={b} c={c}")
+        lines.append(f"VT+: {p['vt_plus']} ({p['vt_plus_method']})")
+        return lines
+
+    return _emit(args, json=lambda: payload, text=text)
 
 
 def cmd_analyze(args):
@@ -380,7 +369,7 @@ def cmd_transform(args):
         "uniform_success_before": format_fraction(success_before),
         "uniform_success_after": format_fraction(success_after),
         "success_preserved": success_before == success_after,
-        "matrix": cf.matrix.to_dict(),
+        "matrix": _matrix_json(cf.matrix),
     }, text=lambda: [
         f"stage: {cf.stage}" + (f" ({cf.symmetry})" if cf.symmetry else ""),
         f"eps_star: {_fmt_eps(before.eps_star)} -> {_fmt_eps(after.eps_star)}",
@@ -406,12 +395,10 @@ def cmd_synth(args):
             g.adjacency) for j in row[bisect.bisect(row, i):])}
         if g.labels is not None:
             graph["labels"] = g.labels
-        return {"graph": graph, "matrix": {
-            "row_labels": matrix.row_labels, "col_labels": matrix.col_labels,
-            "entries": _Spelt(matrix._formatted_rows('"'))},
-            "r_num": pp.r.numerator, "r_den": pp.r.denominator, "c_num": bundle.c.numerator,
-            "c_den": bundle.c.denominator, "utility": format_fraction(bundle.c),
-            "eps_star": audit.eps_star}
+        return {"graph": graph, "matrix": _matrix_json(matrix), "r_num": pp.r.numerator,
+                "r_den": pp.r.denominator, "c_num": bundle.c.numerator,
+                "c_den": bundle.c.denominator, "utility": format_fraction(bundle.c),
+                "eps_star": audit.eps_star}
 
     return _emit(args, json=payload, text=lambda: [
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",

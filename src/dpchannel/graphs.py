@@ -680,8 +680,6 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
         return (0,)
     if not g.is_regular:
         return None
-    if len(set(_refined_colors(g))) > 1:
-        return None
     adjacency = g.adjacency
     nb = [0] * n
     for x in adjacency[0]:

@@ -127,6 +127,17 @@ class TestPrior:
         with pytest.raises(ValueError, match="prior label 'A' given twice"):
             prior_from_csv("A,0\nA,1/2\nB,1/4\nC,1/4\n")
 
+    def test_csv_skips_blank_lines(self):
+        prior, labels = prior_from_csv("\nA,1/2\n , \n\nB,1/2\n")
+        assert prior == Prior((Fraction(1, 2), Fraction(1, 2)))
+        assert labels == ("A", "B")
+
+    @pytest.mark.parametrize("text", ["A,1/2\nB,1/4,\nC,1/4\n", "A\n"],
+                             ids=["three-fields", "one-field"])
+    def test_csv_refuses_a_line_without_two_fields(self, text):
+        with pytest.raises(ValueError, match="^prior file lines must be 'label,value'$"):
+            prior_from_csv(text)
+
 
 class TestChannelMatrix:
     def test_rows_must_sum_to_one_exactly(self):
@@ -155,6 +166,13 @@ class TestChannelMatrix:
         # with the prior A,1/4 / B,3/4 this used to fail as "prior must sum exactly to 1"
         with pytest.raises(ValueError, match="^row label 'A' given twice$"):
             ChannelMatrix.from_csv(",a,b\nA,1/2,1/2\nA,1/4,3/4\nB,1,0\n")
+
+    @pytest.mark.parametrize("row_labels, col_labels", [
+        (["x"], None), (["x", "y", "z"], None), (None, ["a"]), (None, ["a", "b", "c"]),
+    ], ids=["rows-short", "rows-long", "cols-short", "cols-long"])
+    def test_label_counts_must_match_the_shape(self, row_labels, col_labels):
+        with pytest.raises(ValueError, match="^label counts must match the matrix shape$"):
+            ChannelMatrix([[1, 1], [1, 1]], row_labels, col_labels, denominators=[2, 2])
 
     def test_dict_refuses_a_column_label_given_twice(self):
         with pytest.raises(ValueError, match="^column label 'u' given twice$"):

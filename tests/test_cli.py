@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -606,6 +607,19 @@ class TestSynthCommand:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["r_num"] == 1 and payload["r_den"] == 3
 
+    def test_json_spells_c_in_full_past_the_digit_limit(self, tmp_path):
+        # c = 1 / (1 + 2r + 2r^2 + 2r^3 + 2r^4) at r = 10^-1100: both of its
+        # terms run past the 4300 digits str() spells (and json.loads reads)
+        out = tmp_path / "bundle.json"
+        assert main(["synth", "--family", "cycle:9", "--ratio", "1/1" + "0" * 1100,
+                     "--format", "json", "--output", str(out)]) == 0
+        c = optimal_mechanism(build_cycle(9), PrivacyParameter(Fraction(1, 10 ** 1100))).c
+        assert min(c.numerator, c.denominator) > 10 ** 4300
+        spelt = dict(re.findall(r'^  "(c_num|c_den)": (\d+),$', out.read_text(encoding="utf-8"),
+                                re.MULTILINE))
+        assert spelt == {"c_num": str(decimal.Decimal(c.numerator)),
+                         "c_den": str(decimal.Decimal(c.denominator))}
+
 
 class TestTransformCommand:
     def test_pipeline_preserves_success(self, tmp_path, capsys):
@@ -857,10 +871,10 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("command", ["synth", "transform"])
     def test_text_mode_builds_no_payload(self, command, monkeypatch, capsys):
-        def refuse(self):
+        def refuse(matrix):
             raise AssertionError("JSON payload built in text mode")
 
-        monkeypatch.setattr(ChannelMatrix, "to_dict", refuse)
+        monkeypatch.setattr(cli, "_matrix_json", refuse)
         argv = [command, "--family", "clique:6"]
         argv += ["--ratio", "1/2"] if command == "synth" else ["--matrix", "fixture:geometric"]
         assert main(argv) == 0

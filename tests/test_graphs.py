@@ -634,6 +634,14 @@ SHRIKHANDE = Graph(16, {(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
                         for da, db in ((1, 0), (0, 1), (1, 1))})
 
 
+# Vertex 0's neighbours split into cliques {1, 5} and {2}, but 3 and 4 both
+# read as the tuple (1, 1): the first irregular, the second 4-regular.
+SHARED_TUPLE_6 = Graph(6, {(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)})
+SHARED_TUPLE_9 = Graph(9, {(0, 3), (0, 4), (0, 5), (0, 8), (1, 5), (1, 6), (1, 7), (1, 8),
+                           (2, 3), (2, 4), (2, 6), (2, 7), (3, 5), (3, 6), (4, 6), (4, 8),
+                           (5, 7), (7, 8)})
+
+
 class TestRecordedCertificate:
     """``build_hamming`` records its coordinate translations, any other
     product of cliques gets them from its structure, labelled or not, and
@@ -686,7 +694,8 @@ class TestRecordedCertificate:
         _relabelled(_circulant(12, (1, 2)), [(5 * k + 3) % 12 for k in range(12)]),
         build_petersen(),
         SHRIKHANDE,
-    ], ids=["cycle-9", "relabelled-circulant-12", "petersen", "shrikhande"])
+        SHARED_TUPLE_9,
+    ], ids=["cycle-9", "relabelled-circulant-12", "petersen", "shrikhande", "shared-tuple-9"])
     def test_a_graph_no_clique_product_spells_goes_to_the_searches(self, g, searches_refused):
         assert g.certificate is None
         with pytest.raises(SearchRan):
@@ -914,6 +923,15 @@ class TestCliqueProducts:
         # down-neighbours, so only verify_family can refuse the translations
         edges = set(build_hamming(2, 3).edges) - {(4, 5), (7, 8)} | {(4, 8), (5, 7)}
         assert graphs._clique_product(Graph(9, edges)) is None
+
+    @pytest.mark.parametrize("g, answer", [
+        (SHARED_TUPLE_6, ("no", "irregular degree sequence")),
+        (SHARED_TUPLE_9, ("no", "no sharply transitive family among all 8 automorphisms")),
+    ], ids=["irregular-6", "regular-9"])
+    def test_two_vertices_on_one_tuple_are_declined(self, g, answer):
+        assert graphs._clique_product(g) is None
+        cert = vt_plus_certificate(g)
+        assert (cert.status, cert.method) == answer
 
     def test_mixed_clique_sizes_keep_their_orders(self):
         g = _relabelled(_clique_product_graph((2, 3, 5)), [(7 * k + 4) % 30 for k in range(30)])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,20 @@ class TestComposeOblivious:
         assert f == (0, 1, 1, 0)
         with pytest.raises(ValueError):
             f_map_from_csv("00,even\n", ("00", "01"), ("even", "odd"))
+
+    def test_f_map_csv_skips_blank_lines(self):
+        text = "\n00,even\n , \n\n01,odd\n"
+        assert f_map_from_csv(text, ("00", "01"), ("even", "odd")) == (0, 1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("00,even,odd\n01,odd\n", "query map lines must be 'secret,answer'"),
+        ("00,even\n02,odd\n", "unknown secret label '02'"),
+        ("00,even\n01,zero\n", "unknown answer label 'zero'"),
+        ("00,even\n00,odd\n", "secret label '00' mapped twice"),
+    ], ids=["three-fields", "unknown-secret", "unknown-answer", "mapped-twice"])
+    def test_f_map_csv_refusals(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f_map_from_csv(text, ("00", "01"), ("even", "odd"))
 
 
 class TestFixture:
