@@ -150,6 +150,18 @@ def _format_ratio(num, den):
     return _digits(num // g) if g == den else f"{_digits(num // g)}/{_digits(den // g)}"
 
 
+def _csv_line(fields):
+    """``fields`` as one CSV line, without its newline, quoted as ``csv`` quotes them."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()[:-1]
+
+
+def _csv_rows(text):
+    """The rows of CSV ``text`` that hold a cell other than whitespace."""
+    return [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+
+
 class _Spelling(dict):
     """Memo of numerator -> ``_format_ratio(numerator, den)``, quoted, for one ``den``."""
 
@@ -370,17 +382,22 @@ class ChannelMatrix:
         return (list(map(memos.setdefault(den, _Spelling(den, quote)).__getitem__, row))
                 for row, den in zip(self.numerators, self.denominators))
 
-    def to_csv(self):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + list(self.col_labels))
+    def _csv_lines(self):
+        """``to_csv``'s lines without newlines, row by row.  Labels go through ``csv``,
+        whose quoting varies (3.13 quotes a ``\\r`` that 3.10-3.12 leave bare), a row
+        label as ``(label, "")`` since ``csv`` writes a lone empty field as ``""``; the
+        cells are digits and a slash, which ``csv`` never quotes, so they are joined."""
+        yield _csv_line(("", *self.col_labels))
         for label, row in zip(self.row_labels, self._formatted_rows()):
-            writer.writerow((label, *row))
-        return out.getvalue()
+            yield _csv_line((label, "")) + ",".join(row)
+
+    def to_csv(self):
+        """Column labels, then each row's label and cells (never quoted: ``_csv_lines``)."""
+        return "\n".join(self._csv_lines()) + "\n"
 
     @classmethod
     def from_csv(cls, text):
-        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+        rows = _csv_rows(text)
         if len(rows) < 2:
             raise ValueError("matrix CSV needs a header row and at least one data row")
         col_labels = [c.strip() for c in rows[0][1:]]
@@ -414,11 +431,8 @@ class ChannelMatrix:
 
 def prior_to_csv(prior, labels=None):
     labels = labels or [str(i) for i in range(len(prior))]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for label, p in zip(labels, prior.probs):
-        writer.writerow([label, format_fraction(p)])
-    return out.getvalue()
+    return "".join(_csv_line((label, format_fraction(p))) + "\n"
+                   for label, p in zip(labels, prior.probs))
 
 
 def prior_from_csv(text):
@@ -428,9 +442,7 @@ def prior_from_csv(text):
     cells' reader, through ``Prior``.
     """
     values = {}
-    for row in csv.reader(io.StringIO(text)):
-        if not row or not any(c.strip() for c in row):
-            continue
+    for row in _csv_rows(text):
         if len(row) != 2:
             raise ValueError("prior file lines must be 'label,value'")
         label = row[0].strip()

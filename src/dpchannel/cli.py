@@ -18,6 +18,7 @@ import argparse
 import bisect
 import collections
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .channels import (
     DEFAULT_LN_TOL,
     PrivacyParameter,
     Prior,
+    _csv_line,
     _digits,
     as_fraction,
     column_maxima_sum,
@@ -194,7 +196,7 @@ def _emit(args, **renderers):
 
     ``json`` builds the payload, written by :func:`_write_json` and a final
     newline; every other format (``text``, and ``csv`` on compare) builds
-    the lines.  Only the chosen format's callable runs.
+    the lines, each written as it is drawn.  Only the chosen callable runs.
     """
     built = renderers[args.format]()
     to_file = args.output and args.output != "-"
@@ -203,7 +205,8 @@ def _emit(args, **renderers):
             _write_json(fh.write, built)
             fh.write("\n")
         else:
-            fh.write("\n".join(built) + "\n")
+            for line in built:
+                fh.write(line + "\n")
     return 0
 
 
@@ -370,14 +373,13 @@ def cmd_transform(args):
         "uniform_success_after": format_fraction(success_after),
         "success_preserved": success_before == success_after,
         "matrix": _matrix_json(cf.matrix),
-    }, text=lambda: [
+    }, text=lambda: itertools.chain([
         f"stage: {cf.stage}" + (f" ({cf.symmetry})" if cf.symmetry else ""),
         f"eps_star: {_fmt_eps(before.eps_star)} -> {_fmt_eps(after.eps_star)}",
         f"uniform success: {format_fraction(success_before)} -> {format_fraction(success_after)}"
         f" ({'preserved exactly' if success_before == success_after else 'CHANGED'})",
         "",
-        cf.matrix.to_csv().rstrip("\n"),
-    ])
+    ], cf.matrix._csv_lines()))
 
 
 def cmd_synth(args):
@@ -400,14 +402,13 @@ def cmd_synth(args):
                 "c_den": bundle.c.denominator, "utility": format_fraction(bundle.c),
                 "eps_star": audit.eps_star}
 
-    return _emit(args, json=payload, text=lambda: [
+    return _emit(args, json=payload, text=lambda: itertools.chain([
         f"privacy level: epsilon={pp.epsilon:.6f} (r={format_fraction(pp.r)})",
         f"normaliser c: {_frac_float(bundle.c)}",
         f"uniform-prior utility: {_frac_float(bundle.c)} (equals the bound by construction)",
         f"eps_star: {_fmt_eps(audit.eps_star)}",
         "",
-        matrix.to_csv().rstrip("\n"),
-    ])
+    ], matrix._csv_lines()))
 
 
 def cmd_compare(args):
@@ -431,10 +432,8 @@ def cmd_compare(args):
                           "leakage_b": leak_b} for name, a, b, leak_a, leak_b in rows]}
 
     def csv():
-        lines = ["prior,utility_a,utility_b,leakage_a,leakage_b"]
-        for name, a, b, leak_a, leak_b in rows:
-            lines.append(f"{name},{float(a):.6f},{float(b):.6f},{leak_a:.6f},{leak_b:.6f}")
-        return lines
+        return [_csv_line(("prior", "utility_a", "utility_b", "leakage_a", "leakage_b"))] + [
+            _csv_line((name, *(f"{float(x):.6f}" for x in values))) for name, *values in rows]
 
     def text():
         lines = []

@@ -4,8 +4,8 @@ Everything downstream (channel audits, leakage bounds, mechanism synthesis)
 is driven by an undirected adjacency structure: the domain of secrets, the
 domain of query answers, or the clique of values a single participant can
 take.  A :class:`Graph` stores it once, as one sorted neighbour tuple per
-vertex (``graph.adjacency``), which every reader walks; its edge list and
-edge set are derived on demand.  This module builds the standard domains
+vertex (``graph.adjacency``), which every reader walks; its sorted edge
+list is derived on demand.  This module builds the standard domains
 (Hamming product domains, cliques, cycles, paths, the Petersen graph) and
 classifies the two symmetry families everything else relies on:
 
@@ -117,11 +117,6 @@ class Graph:
     def edge_list(self):
         """The edges ``(i, j)``, i < j, sorted: each row's higher neighbours."""
         return tuple((i, j) for i, row in enumerate(self.adjacency) for j in row if j > i)
-
-    @cached_property
-    def edges(self):
-        """The edges as a frozenset of ``(i, j)`` pairs with ``i < j``."""
-        return frozenset(self.edge_list)
 
     @cached_property
     def degrees(self):

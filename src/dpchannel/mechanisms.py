@@ -17,8 +17,6 @@ optimal guess collapses to the attacker's posterior success probability,
 an identity the tests cross-check module against module.
 """
 
-import csv
-import io
 import json
 import operator
 from dataclasses import dataclass
@@ -28,6 +26,7 @@ from .bounds import profile_core
 from .channels import (
     ChannelMatrix,
     PrivacyParameter,
+    _csv_rows,
     as_fraction,
     posterior_success,
 )
@@ -250,9 +249,7 @@ def f_map_from_csv(text, secret_labels, answer_labels):
     secret_index = {lab: i for i, lab in enumerate(secret_labels)}
     answer_index = {lab: i for i, lab in enumerate(answer_labels)}
     mapping = {}
-    for row in csv.reader(io.StringIO(text)):
-        if not row or not any(c.strip() for c in row):
-            continue
+    for row in _csv_rows(text):
         if len(row) != 2:
             raise ValueError("query map lines must be 'secret,answer'")
         x, y = row[0].strip(), row[1].strip()

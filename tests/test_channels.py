@@ -454,7 +454,7 @@ class TestDistanceRatioAudit:
         Graph(6, {(0, 1), (1, 2), (3, 4)}),   # two components and an isolated vertex
     ], ids=["cycle6", "petersen", "path4", "disconnected"])
     def test_chained_scan_agrees_with_the_zero_tolerance_edge_audit(self, g):
-        rng = random.Random(f"chained-{g.n}-{len(g.edges)}")
+        rng = random.Random(f"chained-{g.n}-{len(g.edge_list)}")
         kinds = set()
         for pp in (HALF, PrivacyParameter.from_ratio(Fraction(1, 3))):
             channels = list(random_dp_sample(g, pp, 6, seed=rng.randrange(10 ** 6)))
@@ -543,7 +543,7 @@ def watched_audit(matrix, g):
 
 def full_scan(matrix, g):
     """The reference: the same edge list on a copy with no certified family."""
-    copy = Graph(g.n, g.edges)
+    copy = Graph(g.n, g.edge_list)
     copy.__dict__["certificate"] = None     # a copy of a clique product is recognised
     return dp_audit(matrix, copy)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import decimal
 import hashlib
 import io
@@ -169,7 +170,7 @@ def symmetric_graphs(draw):
             n += k
         g = Graph(n, edges)
     perm = draw(st.permutations(range(g.n)))
-    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
+    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edge_list})
 
 
 def all_pairs_report(g):
@@ -177,7 +178,7 @@ def all_pairs_report(g):
     all-pairs distance-regularity count."""
     rows = distances(g).dist
     degrees = [len(g.adjacency[v]) for v in range(g.n)]
-    payload = {"n": g.n, "edges": len(g.edges),
+    payload = {"n": g.n, "edges": len(g.edge_list),
                "degree_histogram": {str(d): degrees.count(d) for d in sorted(set(degrees))},
                "connected": UNREACHABLE not in rows[0], "distance_regular": False}
     if payload["connected"]:
@@ -698,6 +699,15 @@ class TestCompareCommand:
         assert row["utility_a"] == row["utility_b"]
         assert row["leakage_a"] == row["leakage_b"]
 
+    def test_a_prior_name_is_quoted_in_csv(self, m2_csv, city_prior_csv, tmp_path, capsys):
+        path = tmp_path / 'sk,ew"ed.csv'
+        path.write_text(open(city_prior_csv, encoding="utf-8").read(), encoding="utf-8")
+        assert main(["compare", "--matrix-a", "fixture:geometric", "--matrix-b", m2_csv,
+                     "--prior", str(path), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert rows[2][0] == 'sk,ew"ed.csv'
+
 
 class TestOracleCommand:
     def test_grid_json(self, capsys):
@@ -885,11 +895,34 @@ class TestGoldenOutput:
         def refuse(self):
             raise AssertionError("text rendering in JSON mode")
 
-        monkeypatch.setattr(ChannelMatrix, "to_csv", refuse)
+        monkeypatch.setattr(ChannelMatrix, "_csv_lines", refuse)
         argv = [command, "--family", "clique:6", "--format", "json"]
         argv += ["--ratio", "1/2"] if command == "synth" else ["--matrix", "fixture:geometric"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["synth", "transform"])
+    def test_text_table_quotes_labels_as_csv_does(self, command, tmp_path, capsys):
+        labels = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "", "h\u00e9 \u6f22"]
+        if command == "synth":
+            graph = Graph(7, build_cycle(7).edge_list, labels)
+            (tmp_path / "g.json").write_text(graph.to_json(), encoding="utf-8")
+            argv = ["synth", "--graph-file", str(tmp_path / "g.json"), "--ratio", "1/2"]
+        else:
+            rows = [[Fraction(1 + (3 * i + 5 * j) % 7, 28) for j in range(7)] for i in range(7)]
+            matrix = ChannelMatrix.from_rows(rows, labels, labels[::-1])
+            (tmp_path / "m.json").write_text(matrix.to_json(), encoding="utf-8")
+            argv = ["transform", "--family", "cycle:7", "--matrix", str(tmp_path / "m.json")]
+        assert main([*argv, "--format", "json"]) == 0
+        block = json.loads(capsys.readouterr().out)["matrix"]
+        assert set(block["row_labels"]) == set(labels)
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(["", *block["col_labels"]])
+        for label, row in zip(block["row_labels"], block["entries"]):
+            writer.writerow([label, *row])
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n\n", 1)[1] == table.getvalue()
 
 
 def row_lists(cells, rows=st.lists):
@@ -937,7 +970,7 @@ class TestJsonWriter:
         assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
 
 
-    def test_a_matrix_is_streamed_one_row_per_write(self, monkeypatch):
+    def test_a_matrix_is_streamed_one_row_per_write(self, monkeypatch, tmp_path):
         report = optimal_mechanism(build_hamming(3, 4), PrivacyParameter(Fraction(1, 3)))
         value = report.matrix.to_dict()
         rows = value["entries"]
@@ -962,6 +995,20 @@ class TestJsonWriter:
         assert json.loads("".join(writes))["matrix"]["entries"] == rows
         assert max(map(len, writes)) <= longest_row("\n      ")
         assert len(writes) > 2 * 64
+        # the text reports of synth (the carried kernel) and transform (its
+        # symmetric form, spelt row by row) write their table one CSV line,
+        # with its newline, per write
+        path = tmp_path / "kernel.csv"
+        path.write_text(report.matrix.to_csv(), encoding="utf-8")
+        for argv in (["synth", "--family", "hamming:3,4", "--ratio", "1/3"],
+                     ["transform", "--family", "hamming:3,4", "--matrix", str(path)]):
+            writes.clear()
+            monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=writes.append))
+            assert main(argv) == 0
+            monkeypatch.undo()
+            table = "".join(writes).split("\n\n", 1)[1]
+            assert table == report.matrix.to_csv()
+            assert max(map(len, writes)) <= max(map(len, table.splitlines(keepends=True)))
 
 
 def small_ratios():

@@ -81,12 +81,12 @@ class TestAdjacency:
             assert g.adjacency[v] == tuple(sorted(
                 {j for i, j in pairs if i == v} | {i for i, j in pairs if j == v}))
         edges = frozenset((min(e), max(e)) for e in pairs)
-        assert g.edges == edges
+        assert set(g.edge_list) == edges
         assert g.edge_list == tuple(sorted(edges))
         assert g.to_dict() == {"n": n, "edges": [[i, j] for i, j in sorted(edges)]}
         backwards = Graph(n, reversed(pairs))
         assert backwards == g and hash(backwards) == hash(g)
-        assert Graph(g.n, g.edges) == g
+        assert Graph(g.n, g.edge_list) == g
         assert Graph.from_json(g.to_json()) == g
 
 
@@ -224,7 +224,7 @@ class TestDistances:
         dm = g.distance_matrix
         assert g.distance_matrix is dm
         assert dm == distances(g)
-        reach = [independent_bfs(g.edges, g.n, s) for s in range(g.n)]
+        reach = [independent_bfs(g.edge_list, g.n, s) for s in range(g.n)]
         assert g.is_connected == all(len(r) == g.n for r in reach)
         for s in range(g.n):
             assert dm.dist[s] == tuple(reach[s].get(t, UNREACHABLE) for t in range(g.n))
@@ -493,7 +493,7 @@ class TestGeneratorCertificates:
 
     def test_a_two_cycle_sigma_never_yields_yes(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(graphs, "single_orbit_automorphism", lambda g, effort: ROTATE_BY_TWO)
-        hexagon = Graph(6, build_cycle(6).edges)     # records no rotation: the search runs
+        hexagon = Graph(6, build_cycle(6).edge_list)     # records no rotation: the search runs
         with pytest.raises(InternalError, match="single-orbit powers failed verification"):
             vt_plus_certificate(hexagon)
         path = tmp_path / "c6.json"
@@ -518,7 +518,7 @@ class TestGeneratorCertificates:
             g = build_cycle(n)
             assert g.certificate.method == "single-orbit powers"
             assert g.certified_family.generators == (
-                single_orbit_automorphism(Graph(n, g.edges)),)
+                single_orbit_automorphism(Graph(n, g.edge_list)),)
 
     @pytest.mark.parametrize("orders", [(3,), (3, 2)])
     def test_the_wrong_member_count_raises(self, orders):
@@ -573,14 +573,14 @@ class TestCertifiedFamily:
         assert is_distance_regular(g) is None
 
     def test_a_no_leaves_the_all_pairs_count(self):
-        g = Graph(TRIANGLE_SQUARE_COMPLEMENT.n, TRIANGLE_SQUARE_COMPLEMENT.edges)
+        g = Graph(TRIANGLE_SQUARE_COMPLEMENT.n, TRIANGLE_SQUARE_COMPLEMENT.edge_list)
         assert vt_plus_certificate(g).status == "no"
         assert g.certified_family is None
         assert is_distance_regular(g) is None
         assert common_profile(g).counts == (1, 4, 2)       # shared, yet not DR
 
     def test_a_vertex_transitive_graph_need_not_be_distance_regular(self):
-        g = Graph(PRISM.n, PRISM.edges)
+        g = Graph(PRISM.n, PRISM.edge_list)
         cert = vt_plus_certificate(g)
         assert g.certified_family is cert.family
         assert is_distance_regular(g) is None
@@ -593,7 +593,7 @@ class TestCertifiedFamily:
     ], ids=["cycle-9", "circulant-12", "two-triangles"])
     def test_certified_rotations_transport_rows(self, g, monkeypatch):
         expected = distances(g)
-        g = Graph(g.n, g.edges)
+        g = Graph(g.n, g.edge_list)
         assert vt_plus_certificate(g).method == "single-orbit powers"
         monkeypatch.setattr(graphs, "distances", None)      # the matrix must not need it
         assert g.distance_matrix == expected
@@ -616,7 +616,7 @@ SWAP_01 = (1, 0, 2, 3, 4, 5, 6, 7, 8)      # no automorphism of hamming(2, 3)
 
 
 def _dotted(g):
-    return Graph(g.n, g.edges, tuple(".".join(label) for label in g.labels))
+    return Graph(g.n, g.edge_list, tuple(".".join(label) for label in g.labels))
 
 
 def _circulant(n, steps):
@@ -624,7 +624,7 @@ def _circulant(n, steps):
 
 
 def _relabelled(g, perm):
-    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edges})
+    return Graph(g.n, {(perm[i], perm[j]) for i, j in g.edge_list})
 
 
 # Z4 x Z4 with steps +-(1, 0), +-(0, 1), +-(1, 1): the parameters of
@@ -674,10 +674,10 @@ class TestRecordedCertificate:
 
     @pytest.mark.parametrize("g", [
         _dotted(build_hamming(3, 3)),
-        Graph(9, build_hamming(2, 3).edges, [f"x{k}" for k in range(9)]),
-        Graph(9, build_hamming(2, 3).edges),
-        Graph(9, build_hamming(2, 3).edges, reversed(build_hamming(2, 3).labels)),
-        Graph(9, {(SWAP_01[i], SWAP_01[j]) for i, j in build_hamming(2, 3).edges},
+        Graph(9, build_hamming(2, 3).edge_list, [f"x{k}" for k in range(9)]),
+        Graph(9, build_hamming(2, 3).edge_list),
+        Graph(9, build_hamming(2, 3).edge_list, reversed(build_hamming(2, 3).labels)),
+        Graph(9, {(SWAP_01[i], SWAP_01[j]) for i, j in build_hamming(2, 3).edge_list},
               build_hamming(2, 3).labels),
     ], ids=["dotted-labels", "other-labels", "unlabelled", "reversed-labels", "other-edges"])
     def test_any_labels_or_none_are_recognised_without_a_search(self, g, searches_refused):
@@ -690,7 +690,7 @@ class TestRecordedCertificate:
         assert g.certified_family == hamming_translation_family(3, 4)
 
     @pytest.mark.parametrize("g", [
-        Graph(9, build_cycle(9).edges),
+        Graph(9, build_cycle(9).edge_list),
         _relabelled(_circulant(12, (1, 2)), [(5 * k + 3) % 12 for k in range(12)]),
         build_petersen(),
         SHRIKHANDE,
@@ -806,8 +806,8 @@ def _clique_product_graph(orders):
 
 def _maps_edge_set_onto_itself(g, perm):
     """Whether the image of the edge set under ``perm`` is the edge set."""
-    edges = {frozenset(e) for e in g.edges}
-    return {frozenset((perm[i], perm[j])) for i, j in g.edges} == edges
+    edges = {frozenset(e) for e in g.edge_list}
+    return {frozenset((perm[i], perm[j])) for i, j in g.edge_list} == edges
 
 
 def _is_sharply_transitive(g, perms):
@@ -853,11 +853,11 @@ def near_products(draw):
     if kind == "hamming":
         u, v = draw(st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]))
         g = build_hamming(u, v)
-        g = Graph(g.n, _swapped(g.edges, rnd, draw(st.integers(0, 4))))
+        g = Graph(g.n, _swapped(g.edge_list, rnd, draw(st.integers(0, 4))))
     elif kind == "regular":
         n = draw(st.integers(5, 16))
         steps = draw(st.sets(st.integers(1, (n - 1) // 2), min_size=1, max_size=3))
-        g = Graph(n, _swapped(_circulant(n, steps).edges, rnd, draw(st.integers(1, 30))))
+        g = Graph(n, _swapped(_circulant(n, steps).edge_list, rnd, draw(st.integers(1, 30))))
     elif kind == "cliques":
         sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
         starts = list(itertools.accumulate([0] + sizes))
@@ -878,7 +878,7 @@ def permuted_graphs(draw):
     if kind == "swapped":
         u, v = draw(st.sampled_from([(2, 3), (3, 2), (2, 4), (3, 3)]))
         rnd = draw(st.randoms(use_true_random=False))
-        g = Graph(v ** u, _swapped(build_hamming(u, v).edges, rnd, draw(st.integers(0, 3))))
+        g = Graph(v ** u, _swapped(build_hamming(u, v).edge_list, rnd, draw(st.integers(0, 3))))
         return g, draw(st.sampled_from(hamming_translation_family(u, v).perms))
     if kind == "near":
         g = draw(near_products())
@@ -912,7 +912,7 @@ class TestCliqueProducts:
             assert _is_sharply_transitive(g, cert.family.perms)
 
     def test_the_shrikhande_graph_is_declined_then_searched(self):
-        g = Graph(SHRIKHANDE.n, SHRIKHANDE.edges)
+        g = Graph(SHRIKHANDE.n, SHRIKHANDE.edge_list)
         assert g.certificate is None
         cert = vt_plus_certificate(g)
         assert (cert.status, cert.method) == ("yes", "automorphism cover search")
@@ -921,7 +921,7 @@ class TestCliqueProducts:
     def test_a_swap_inside_one_distance_layer_is_refused_by_verification(self):
         # 11-12 and 21-22 become 11-22 and 21-12: every vertex keeps its
         # down-neighbours, so only verify_family can refuse the translations
-        edges = set(build_hamming(2, 3).edges) - {(4, 5), (7, 8)} | {(4, 8), (5, 7)}
+        edges = set(build_hamming(2, 3).edge_list) - {(4, 5), (7, 8)} | {(4, 8), (5, 7)}
         assert graphs._clique_product(Graph(9, edges)) is None
 
     @pytest.mark.parametrize("g, answer", [
