@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stdlib-only smoke check: run the demos, pin six synth reports, one
+"""Stdlib-only smoke check: run the demos, pin seven synth reports, one
 analyze and one transform report, two oracle reports and two graph reports,
 and certify one relabelled Hamming graph.
 
@@ -28,15 +28,16 @@ so the report depends on every draw the hillclimb makes from its seed),
 json`` on the 3x3x3 Hamming graph under a fixed vertex permutation (the
 synth report embeds the graph as read from the file, so its pin covers the
 graph constructor and the edge list written back from the adjacency),
-and the text report of ``dpchannel synth --graph-file --ratio 1/2`` on a
-4-cycle whose vertex labels hold a comma, a double quote and a newline
-(labels in the CSV table are quoted by ``csv``, which each Python version
-must do alike for these three; a carriage return is left out, as 3.13
-quotes it and earlier versions do not), against the library in
-``src/``.  It checks that each exits 0, that each synth, analyze,
-transform, oracle and petersen graph report has its pinned sha256 and
-that the relabelled graph's report says ``VT+: yes (coordinate
-translations)``, and exits 1 after listing every failure.
+and the text reports of ``dpchannel synth --graph-file --ratio 1/2`` on a
+4-cycle whose vertex labels hold a comma, a double quote and a newline,
+and on one whose labels hold carriage returns (labels in the CSV table
+are quoted by ``csv``, which each Python version must do alike; the
+second pin was taken on 3.13, whose ``csv`` quotes a carriage return of
+its own accord), against the library in ``src/``.  It checks that each
+exits 0, that each synth, analyze, transform, oracle and petersen graph
+report has its pinned sha256 and that the relabelled graph's report says
+``VT+: yes (coordinate translations)``, and exits 1 after listing every
+failure.
 """
 
 import hashlib
@@ -60,7 +61,14 @@ SYNTH_SHA256 = {
         "91b563c1749073021016bf7ba7ddcff388bb215b6ffe906d1afb7b61b0237d01",
 }
 GRAPH_FILE_SYNTH_SHA256 = "f354814cad5cbf9de43ccfad16e7ee36d3ac799ec2a5a8e019162e109cb5e22d"
-LABELLED_CYCLE_TEXT_SHA256 = "ba2ee561903f913e9fa3c04d714d6d00cc18a23c4b35628bf3fb9e61c80c42f4"
+# 4-cycle files by name: vertex labels that ``csv`` must quote, and the
+# sha256 of the text synth report.
+LABELLED_CYCLES = {
+    "labelled-c4.json": (["a,b", 'say "hi"', "two\nlines", "plain"],
+                         "ba2ee561903f913e9fa3c04d714d6d00cc18a23c4b35628bf3fb9e61c80c42f4"),
+    "cr-labelled-c4.json": (["cr\rx", "crlf\r\ny", "plain", "end\r"],
+                            "6b2d0b6af562cebafe0f148ccbc500416550c242471e3b02a0ad047d6fa782be"),
+}
 ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114a1"
 ORACLE_SHA256 = {
     ("--family", "clique:3", "--ratio", "1/2", "--method", "grid"):
@@ -84,10 +92,9 @@ def relabelled_hamming_3_3():
     return json.dumps({"n": 27, "edges": edges})
 
 
-def labelled_cycle_4():
-    """Graph JSON of the 4-cycle with labels that ``csv`` must quote."""
-    return json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
-                       "labels": ["a,b", 'say "hi"', "two\nlines", "plain"]})
+def labelled_cycle_4(labels):
+    """Graph JSON of the 4-cycle with these vertex labels."""
+    return json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "labels": labels})
 
 
 def run(args):
@@ -141,11 +148,11 @@ def main():
         argv = ["synth", "--graph-file", str(path), "--ratio", "1/2", "--format", "json"]
         check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]),
                      GRAPH_FILE_SYNTH_SHA256)
-        cycle = pathlib.Path(tmp) / "labelled-c4.json"
-        cycle.write_text(labelled_cycle_4(), encoding="utf-8")
-        argv = ["synth", "--graph-file", str(cycle), "--ratio", "1/2"]
-        check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]),
-                     LABELLED_CYCLE_TEXT_SHA256)
+        for name, (labels, expected) in LABELLED_CYCLES.items():
+            cycle = pathlib.Path(tmp) / name
+            cycle.write_text(labelled_cycle_4(labels), encoding="utf-8")
+            argv = ["synth", "--graph-file", str(cycle), "--ratio", "1/2"]
+            check_digest(failures, argv, run(["-m", "dpchannel.cli", *argv]), expected)
         result = run(["-m", "dpchannel.cli", "graph", "--graph-file", str(path)])
     if result.returncode != 0 or VT_LINE not in result.stdout.decode().splitlines():
         failures.append(f"dpchannel graph --graph-file (relabelled hamming:3,3):"

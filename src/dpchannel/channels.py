@@ -42,8 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .graphs import _walk_from_base
-
 DEFAULT_LN_TOL = 1e-9
 # Published tables rounded to three decimals can nominally overshoot the
 # declared epsilon by a couple of thousandths; audit those with this profile.
@@ -151,10 +149,11 @@ def _format_ratio(num, den):
 
 
 def _csv_line(fields):
-    """``fields`` as one CSV line, without its newline, quoted as ``csv`` quotes them."""
+    """``fields`` as one CSV line, without its newline, quoted as ``csv`` quotes them;
+    its ``\\r\\n`` terminator, cut off, has ``csv`` quote a ``\\r`` on 3.10-3.12 as 3.13 does."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(fields)
-    return out.getvalue()[:-1]
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2]
 
 
 def _csv_rows(text):
@@ -255,7 +254,7 @@ class ChannelMatrix:
     validated and reduced to the lcm form.  Instances are immutable,
     compare and hash by value and labels.  CSV and JSON spell each value
     once per denominator, and a kernel carried from its row 0 spells that
-    row alone and carries the texts (``_formatted_rows``).
+    row alone and has its graph carry the texts (``_formatted_rows``).
     """
 
     numerators: tuple
@@ -371,22 +370,22 @@ class ChannelMatrix:
     def _formatted_rows(self, quote=""):
         """The rows as reduced ``num/den`` texts between ``quote`` marks (digits
         and a slash: ``'"'`` spells their JSON), each value once per row
-        denominator.  A kernel carried along a family (``_carried_along``)
-        spells row 0 and carries it as its numerators were carried."""
-        fam = getattr(self, "_carried_along", None)
-        if fam is not None:
+        denominator.  A kernel carried on a graph (``_carried_on``) spells row 0
+        and has that graph carry the texts (:meth:`Graph.carried`), as it
+        carried the numerators."""
+        graph = getattr(self, "_carried_on", None)
+        if graph is not None:
             spell = _Spelling(self.denominators[0], quote)
-            walk = _walk_from_base(fam, tuple(map(spell.__getitem__, self.numerators[0])))
-            return map(walk.__getitem__, range(self.rows))
+            return graph.carried(map(spell.__getitem__, self.numerators[0]))
         memos = {}
         return (list(map(memos.setdefault(den, _Spelling(den, quote)).__getitem__, row))
                 for row, den in zip(self.numerators, self.denominators))
 
     def _csv_lines(self):
-        """``to_csv``'s lines without newlines, row by row.  Labels go through ``csv``,
-        whose quoting varies (3.13 quotes a ``\\r`` that 3.10-3.12 leave bare), a row
-        label as ``(label, "")`` since ``csv`` writes a lone empty field as ``""``; the
-        cells are digits and a slash, which ``csv`` never quotes, so they are joined."""
+        """``to_csv``'s lines without newlines, row by row.  Labels go through ``csv``
+        (:func:`_csv_line`), a row label as ``(label, "")`` since ``csv`` writes a lone
+        empty field as ``""``; the cells are digits and a slash, which ``csv`` never
+        quotes, so they are joined."""
         yield _csv_line(("", *self.col_labels))
         for label, row in zip(self.row_labels, self._formatted_rows()):
             yield _csv_line((label, "")) + ",".join(row)
@@ -495,15 +494,14 @@ def _is_invariant(matrix, graph):
     conversely, invariance under f_i gives ``M[i][j] == M[0][f_i^-1 j]``.
     Rows are compared as numerators, which sum to their denominators.
 
-    A kernel ``optimal_mechanism`` built by carrying its row 0 along this
-    very family object (``_carried_along``) meets the rule by construction
-    and is not checked again.  Any other matrix, an equal one or a copy
-    included, is.
+    A kernel ``optimal_mechanism`` carried on this very graph object
+    (``_carried_on``), whose family is never replaced once recorded, meets
+    the rule by construction and is not checked again.  Any other matrix
+    or graph, an equal one or a copy included, is.
     """
     if matrix.cols != matrix.rows:
         return False
-    fam = graph.certified_family
-    if fam is not None and fam is getattr(matrix, "_carried_along", None):
+    if getattr(matrix, "_carried_on", None) is graph:
         return True
     return graph.carried(matrix.numerators[0]) == matrix.numerators
 

@@ -355,14 +355,13 @@ def cmd_transform(args):
     g = _load_graph(args)
     matrix = _load_matrix(args.matrix)
     before = dp_audit(matrix, g)
-    uniform = Prior.uniform(matrix.rows)
-    success_before = posterior_success(uniform, matrix)
+    success_before = column_maxima_sum(matrix) / matrix.rows
     if args.stage == "diagonal":
         cf = to_diagonal_form(matrix, g)
     else:
         cf = canonicalize(matrix, g, effort=args.effort)
     after = dp_audit(cf.matrix, g)
-    success_after = posterior_success(uniform, cf.matrix)
+    success_after = column_maxima_sum(cf.matrix) / cf.matrix.rows
     return _emit(args, json=lambda: {
         "stage": cf.stage,
         "symmetry": cf.symmetry,
@@ -472,10 +471,9 @@ def cmd_oracle(args):
     else:
         best = None
         count = 0
-        uniform = Prior.uniform(g.n)
         for matrix in random_dp_sample(g, pp, opt["count"], opt["seed"]):
             count += 1
-            value = posterior_success(uniform, matrix)
+            value = column_maxima_sum(matrix) / matrix.rows
             if best is None or value > best[0]:
                 best = (value, matrix)
         report = SearchReport("random", opt["seed"], count, best[0], best[1])

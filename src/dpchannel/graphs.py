@@ -30,7 +30,7 @@ product of cliques read from its structure, or a family
 :func:`vt_plus_certificate` has found.  With it, one BFS from vertex 0
 (``graph.base_row``) gives connectivity, the diameter and the shared
 distance profile (:func:`common_profile`), distance-regularity is counted
-from base 0 alone (:func:`is_distance_regular`), and a generated family
+from base 0 alone (``graph.intersection_array``), and a generated family
 gives the whole distance matrix: row i is the base row carried along the
 member that takes 0 to i.  Every other graph computes its all-pairs BFS
 matrix once, on first use, with :func:`distances`, the reference the
@@ -176,6 +176,56 @@ class Graph:
         if not self.is_connected:
             raise DisconnectedGraphError("distance profile needs a connected graph")
         return tuple(_strata(row) for row in self.distance_matrix.dist)
+
+    @cached_property
+    def intersection_array(self):
+        """The :class:`IntersectionArray` if the graph is distance-regular, else None.
+
+        Checks the defining counting property on ordered vertex pairs: at
+        distance i, the second vertex must have exactly c_i neighbors one
+        stratum closer to the first vertex and b_i neighbors one stratum
+        further, with the same constants everywhere.
+
+        A ``certified_family`` proves every vertex looks like vertex 0, so
+        only the pairs based at vertex 0 are counted, from the one BFS
+        ``base_row``.  Otherwise every pair of the all-pairs distance matrix
+        is counted.  Raises ``DisconnectedGraphError`` when some vertex is
+        unreachable.
+        """
+        if not self.is_connected:
+            raise DisconnectedGraphError("distance-regularity is defined for connected graphs")
+        if not self.is_regular:
+            return None
+        if self.certified_family is not None:
+            rows = (self.base_row,)
+            diam = max(self.base_row)
+        else:
+            dm = self.distance_matrix
+            rows, diam = dm.dist, dm.diameter
+        b = [None] * (diam + 1)
+        c = [None] * (diam + 1)
+        for drow in rows:
+            for y in range(self.n):
+                i = drow[y]
+                closer = 0
+                further = 0
+                for z in self.adjacency[y]:
+                    dz = drow[z]
+                    if dz == i - 1:
+                        closer += 1
+                    elif dz == i + 1:
+                        further += 1
+                if i < diam:
+                    if b[i] is None:
+                        b[i] = further
+                    elif b[i] != further:
+                        return None
+                if i >= 1:
+                    if c[i] is None:
+                        c[i] = closer
+                    elif c[i] != closer:
+                        return None
+        return IntersectionArray(tuple(b[:diam]), tuple(c[1:diam + 1]))
 
     def label(self, v):
         return self.labels[v] if self.labels is not None else str(v)
@@ -501,52 +551,9 @@ def common_profile(g):
 # ---------------------------------------------------------------------------
 
 def is_distance_regular(g):
-    """Return the intersection array if the graph is distance-regular, else None.
-
-    Checks the defining counting property on ordered vertex pairs: at
-    distance i, the second vertex must have exactly c_i neighbors one
-    stratum closer to the first vertex and b_i neighbors one stratum
-    further, with the same constants everywhere.
-
-    A ``g.certified_family`` proves every vertex looks like vertex 0, so
-    only the pairs based at vertex 0 are counted, from the one BFS
-    ``g.base_row``.  Otherwise every pair of the all-pairs distance matrix
-    is counted.
-    """
-    if not g.is_connected:
-        raise DisconnectedGraphError("distance-regularity is defined for connected graphs")
-    if not g.is_regular:
-        return None
-    if g.certified_family is not None:
-        rows = (g.base_row,)
-        diam = max(g.base_row)
-    else:
-        dm = g.distance_matrix
-        rows, diam = dm.dist, dm.diameter
-    b = [None] * (diam + 1)
-    c = [None] * (diam + 1)
-    for drow in rows:
-        for y in range(g.n):
-            i = drow[y]
-            closer = 0
-            further = 0
-            for z in g.adjacency[y]:
-                dz = drow[z]
-                if dz == i - 1:
-                    closer += 1
-                elif dz == i + 1:
-                    further += 1
-            if i < diam:
-                if b[i] is None:
-                    b[i] = further
-                elif b[i] != further:
-                    return None
-            if i >= 1:
-                if c[i] is None:
-                    c[i] = closer
-                elif c[i] != closer:
-                    return None
-    return IntersectionArray(tuple(b[:diam]), tuple(c[1:diam + 1]))
+    """The intersection array if the graph is distance-regular, else None:
+    ``g.intersection_array``, counted once per graph."""
+    return g.intersection_array
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +674,13 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     ``nb[x]`` has bit i iff ``seq[i]`` is placed and adjacent to x.  The
     cycle maps ``seq[i]`` to ``seq[i + 1]``, so appending w after a =
     ``seq[t - 1]`` is consistent iff bits 1 .. t-1 of ``nb[w]`` equal bits
-    0 .. t-2 of ``nb[a]``; the closing check compares ``nb[w]`` with
-    ``nb[0]`` the same way, the last vertex w mapping back to 0.
+    0 .. t-2 of ``nb[a]``.
+
+    The cycle closes by itself.  The placements make A(s_i, s_j), s = ``seq``
+    and i < j, depend only on j - i, say c(j - i).  A k-regular graph then
+    gives c(1) + .. + c(j) + c(1) + .. + c(n-1-j) = k, the degree of s_j;
+    j against j - 1 gives c(j) = c(n - j), so A(s_{n-1}, s_j) =
+    A(s_0, s_{j+1}): mapping s_{n-1} back to s_0 keeps every edge.
     """
     n = g.n
     if n == 1:
@@ -697,8 +709,6 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
                 raise SearchBudgetError("single-orbit search exceeded its budget")
             if (nb[w] >> 1) & mask != need:
                 continue
-            if t + 1 == n and nb[w] != (nb[0] >> 1) | (nb[w] & 1) << (n - 2):
-                continue                    # the cycle does not close
             seq.append(w)
             in_seq[w] = True
             bit = 1 << t

@@ -157,12 +157,12 @@ def optimal_mechanism(graph, pp):
     top = max(graph.base_row)      # all vertices share the profile: the diameter
     weights = [p ** d * q ** (top - d) for d in range(top + 1)]
     # Carried from row 0, the kernel meets _is_invariant's rule by
-    # construction; it records the family it was carried along.
+    # construction; it records the graph it was carried on.
     rows = graph.carried([weights[d] for d in graph.base_row])
     matrix = ChannelMatrix(
         rows or [[weights[d] for d in row] for row in graph.distance_matrix.dist],
         graph.labels, graph.labels, denominators=[int(core * q ** top)] * graph.n)
-    object.__setattr__(matrix, "_carried_along", graph.certified_family if rows else None)
+    object.__setattr__(matrix, "_carried_on", graph if rows else None)
     return MechanismBundle(graph, matrix, pp, 1 / core)
 
 

@@ -71,12 +71,10 @@ class CanonicalForm:
             raise ValueError("diagonal entries must carry their column maximum")
         if any(map(any, cols[n:])):
             raise ValueError("columns beyond the square block must be zero")
-        if self.stage == STAGE_SYMMETRIC:
-            diag = {rows[i][i] for i in range(n)}
-            if len(diag) != 1:
-                raise ValueError("symmetric stage requires equal diagonal entries")
-            if max(map(max, cols)) != next(iter(diag)):
-                raise ValueError("symmetric stage diagonal must be the global maximum")
+        # Equal diagonal entries, each its column's maximum with the surplus
+        # columns zero, are the global maximum.
+        if self.stage == STAGE_SYMMETRIC and len({rows[i][i] for i in range(n)}) != 1:
+            raise ValueError("symmetric stage requires equal diagonal entries")
 
 
 def to_diagonal_form(matrix, graph):
@@ -115,20 +113,15 @@ def _require_diagonal(cf):
 def symmetrize_distance_regular(cf, graph, array):
     """Average each entry over its distance class.
 
-    ``array`` is the intersection-array witness; it is re-verified against
-    the graph, and a mismatch or a non-distance-regular graph is a
-    precondition error.
+    ``array`` is the intersection-array witness; it is checked against the
+    graph's own ``intersection_array``, counted once per graph, and a
+    mismatch or a non-distance-regular graph is a precondition error.
     """
     _require_diagonal(cf)
-    check = is_distance_regular(graph)
-    if check is None:
+    if graph.intersection_array is None:
         raise ValueError("the graph is not distance-regular")
-    if check != array:
+    if graph.intersection_array != array:
         raise ValueError("intersection array does not match the graph")
-    return _average_distance_classes(cf, graph)
-
-
-def _average_distance_classes(cf, graph):
     # Class d's mean is sums[d] / (den * n * counts[d]); over the one row
     # denominator den * n * lcm(counts) its numerator is an integer.
     n, m = graph.n, cf.matrix.cols
@@ -150,18 +143,15 @@ def _average_distance_classes(cf, graph):
 def symmetrize_vt_plus(cf, graph, family):
     """Average each entry over the automorphism family's relabelings.
 
-    The family is re-verified with :func:`verify_family`; an invalid
+    A family other than ``graph.certified_family``, which was verified when
+    it was recorded, is checked with :func:`verify_family`; an invalid
     certificate is a precondition error.  Because the family moves any
     fixed vertex through every position exactly once, all diagonal entries
     of the result equal the mean of the previous diagonal.
     """
     _require_diagonal(cf)
-    if not verify_family(graph, family):
+    if family is not graph.certified_family and not verify_family(graph, family):
         raise ValueError("automorphism family failed verification")
-    return _average_relabelings(cf, graph, family)
-
-
-def _average_relabelings(cf, graph, family):
     n, m = graph.n, cf.matrix.cols
     rows, den = cf.matrix.scaled_rows()
     nums = [[0] * m for _ in range(n)]
@@ -177,21 +167,24 @@ def _average_relabelings(cf, graph, family):
 
 
 def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
-    """Full pipeline: diagonalise, then symmetrise with whichever symmetry holds.
+    """Full pipeline: :func:`to_diagonal_form`, then one public symmetric step.
 
-    Distance-regularity is preferred because its certificate is cheap to
-    recompute; a sharply transitive family is used otherwise, and always on
-    a disconnected graph, where distance-regularity is undefined.  Raises
-    ``SymmetryRequiredError`` when neither applies (or could be certified
-    within the search budget).  Each symmetry is certified once: the
-    averaging runs straight on the certificate just obtained.
+    Distance-regularity is preferred, with :func:`symmetrize_distance_regular`
+    on ``is_distance_regular(graph)``; otherwise :func:`symmetrize_vt_plus`
+    averages over the family :func:`vt_plus_certificate` certifies, and
+    always on a disconnected graph, where distance-regularity is undefined.
+    Raises ``SymmetryRequiredError`` when neither applies (or could be
+    certified within the search budget).  Each proof is made once per
+    graph: the step reads the cached intersection array, and the
+    certificate's family is the graph's own, verified when it was recorded.
     """
     cf = to_diagonal_form(matrix, graph)
-    if graph.is_connected and is_distance_regular(graph) is not None:
-        return _average_distance_classes(cf, graph)
+    array = is_distance_regular(graph) if graph.is_connected else None
+    if array is not None:
+        return symmetrize_distance_regular(cf, graph, array)
     cert = vt_plus_certificate(graph, effort)
     if cert.status == "yes":
-        return _average_relabelings(cf, graph, cert.family)
+        return symmetrize_vt_plus(cf, graph, cert.family)
     raise SymmetryRequiredError(
         "graph is neither distance-regular nor certifiably vertex-transitive "
         f"(certificate search said {cert.status!r})")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,18 @@ from dpchannel import (
 HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
 THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
 ONE = PrivacyParameter.from_ratio(1)
+
+
+@pytest.mark.parametrize("bound, args, message", [
+    (hamming_leakage_bound, (0, 2), "need u >= 1 participants and v >= 2 values"),
+    (hamming_leakage_bound, (2, 1), "need u >= 1 participants and v >= 2 values"),
+    (individual_leakage_bound, (1,), "need v >= 2 values"),
+    (hamming_identity_check, (0, 3), "need u >= 1 participants and v >= 2 values"),
+    (hamming_identity_check, (3, 1), "need u >= 1 participants and v >= 2 values"),
+], ids=["leakage-u", "leakage-v", "individual-v", "identity-u", "identity-v"])
+def test_parameter_refusals(bound, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bound(*args, HALF)
 
 
 class TestPosteriorEntropyBound:

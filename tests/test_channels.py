@@ -30,6 +30,7 @@ from dpchannel import (
     format_fraction,
     is_dp,
     leakage,
+    log2_fraction,
     min_capacity,
     min_entropy,
     optimal_mechanism,
@@ -78,6 +79,11 @@ class TestCoercion:
     def test_float_reads_decimal_literal(self):
         assert as_fraction(0.25) == Fraction(1, 4)
         assert as_fraction(0.1) == Fraction(1, 10)
+
+    @pytest.mark.parametrize("q", [0, Fraction(-1, 2), "-3"])
+    def test_log2_refuses_a_non_positive_rational(self, q):
+        with pytest.raises(ValueError, match="^logarithm of a non-positive rational$"):
+            log2_fraction(q)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
@@ -157,6 +163,12 @@ class TestChannelMatrix:
             [["1/3", "2/3"], ["0.25", "3/4"]], ["x0", "x1"], ["z0", "z1"])
         again = ChannelMatrix.from_csv(m.to_csv())
         assert again == m
+
+    def test_csv_roundtrip_keeps_a_carriage_return_in_a_label(self):
+        # csv quotes the "\r" on every Python, so csv.reader reads it back
+        m = ChannelMatrix.identity(2, ["cr\rx", "y"], ["a", "cr\rz"])
+        assert m.to_csv().startswith(',a,"cr\rz"\n"cr\rx",')
+        assert ChannelMatrix.from_csv(m.to_csv()) == m
 
     def test_json_roundtrip_exact(self):
         m = truncated_geometric_fixture()
@@ -705,9 +717,9 @@ class CountingCarries:
 
 
 class TestCarriedKernelAudit:
-    """The synthesised kernel records the generated family it was carried
-    along and is audited from vertex 0 without the invariance check; copies
-    and equal matrices are checked, and audit the same."""
+    """The synthesised kernel records the graph it was carried on and is
+    audited there from vertex 0 without the invariance check; copies, equal
+    matrices and equal graphs are checked, and audit the same."""
 
     @pytest.mark.parametrize("spec", ["hamming:2,3", "hamming:3,3", "hamming:4,2", "cycle:7",
                                       "cycle:8", "clique:5"])
@@ -828,7 +840,7 @@ class TestChannelMatrixValue:
         kernel = optimal_mechanism(g, HALF).matrix
         copy = ChannelMatrix(kernel.numerators, kernel.row_labels, kernel.col_labels,
                              denominators=kernel.denominators)
-        assert kernel._carried_along is g.certified_family
-        assert not hasattr(copy, "_carried_along")
+        assert kernel._carried_on is g
+        assert not hasattr(copy, "_carried_on")
         assert copy == kernel and hash(copy) == hash(kernel)
         assert {kernel: 1}[copy] == 1

@@ -16,11 +16,14 @@ from dpchannel import (
     AutomorphismFamily,
     DEFAULT_SEARCH_EFFORT,
     DisconnectedGraphError,
+    DistanceProfile,
     Graph,
+    IntersectionArray,
     InternalError,
     SearchBudgetError,
     SizeCapError,
     UNREACHABLE,
+    VtPlusCertificate,
     automorphism_group,
     build_clique,
     build_cycle,
@@ -88,6 +91,68 @@ class TestAdjacency:
         assert backwards == g and hash(backwards) == hash(g)
         assert Graph(g.n, g.edge_list) == g
         assert Graph.from_json(g.to_json()) == g
+
+
+class TestRefusals:
+    """Each refusal of a constructor or validator, with its message."""
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0], ids=["zero", "negative", "float"])
+    def test_graph_vertex_count(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be a positive integer$"):
+            Graph(n, [])
+
+    @pytest.mark.parametrize("counts, message", [
+        ((), "a distance profile starts with a single vertex at distance 0"),
+        ((2, 1), "a distance profile starts with a single vertex at distance 0"),
+        ((1, -1, 2), "profile counts must be non-negative"),
+        ((1, 2, 0), "profile must not carry trailing zero strata"),
+    ])
+    def test_distance_profile(self, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistanceProfile(0, counts)
+
+    @pytest.mark.parametrize("b, c, message", [
+        ((3, 2), (1,), "b and c must cover the same distance range"),
+        ((3, -2), (1, 1), "intersection numbers are non-negative"),
+        ((3, 2), (2, 1), "c_1 is 1 in any distance-regular graph"),
+    ])
+    def test_intersection_array(self, b, c, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IntersectionArray(b, c)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "give either the explicit permutations or generators"),
+        ({"explicit": ((0, 1), (1, 0)), "generators": ((1, 0),), "orders": (2,)},
+         "give either the explicit permutations or generators"),
+        ({"generators": ((1, 0),)}, "each generator needs a positive exponent bound"),
+        ({"generators": ((1, 0),), "orders": (0,)},
+         "each generator needs a positive exponent bound"),
+        ({"generators": ((1, 0),), "orders": (2.0,)},
+         "each generator needs a positive exponent bound"),
+    ], ids=["neither", "both", "no-bound", "zero-bound", "float-bound"])
+    def test_automorphism_family(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AutomorphismFamily(**kwargs)
+
+    @pytest.mark.parametrize("status, family, message", [
+        ("maybe", None, "unknown status 'maybe'"),
+        ("yes", None, "a family is attached exactly to 'yes' answers"),
+        ("no", AutomorphismFamily(((0,),)), "a family is attached exactly to 'yes' answers"),
+        ("unknown", AutomorphismFamily(((0,),)),
+         "a family is attached exactly to 'yes' answers"),
+    ])
+    def test_vt_plus_certificate(self, status, family, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VtPlusCertificate(status, family, "by hand")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("path:0", "a path needs at least one vertex"),
+        ("petersen:3", "the petersen family takes no parameters"),
+        ("hamming:3", "malformed graph family spec 'hamming:3'"),
+    ])
+    def test_family_specs(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_family(spec)
 
 
 class TestConstructors:

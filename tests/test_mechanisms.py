@@ -263,6 +263,37 @@ class TestUtility:
                     GuessStrategy.from_map((0, 1, 7)))
 
 
+class TestUtilityRefusals:
+    """Each refusal of ``GainFunction`` and ``utility``, with its message."""
+
+    @pytest.mark.parametrize("kind, table, message", [
+        ("zero-one", None, "unknown gain kind 'zero-one'"),
+        ("binary", ((1,),), "a gain table is attached exactly to the table kind"),
+        ("table", None, "a gain table is attached exactly to the table kind"),
+        ("table", ((1, 0), (0,)), "gain table must be square"),
+        ("table", ((1, 0, 0), (0, 1, 0)), "gain table must be square"),
+    ])
+    def test_gain_function(self, kind, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GainFunction(kind, table)
+
+    @pytest.mark.parametrize("prior, gain, guess, message", [
+        (Prior.uniform(2), None, None, "prior length must match the matrix rows"),
+        (Prior.uniform(3), GainFunction.from_table([[1, 0], [0, 1]]), None,
+         "gain table must be indexed by the answer set"),
+        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2]),
+         "guess map must be total over the output set"),
+        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2, 3]),
+         "guess map targets unknown answers"),
+        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2, -1]),
+         "guess map targets unknown answers"),
+    ])
+    def test_utility(self, prior, gain, guess, message):
+        matrix = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            utility(prior, matrix, gain, guess)
+
+
 class TestComposeOblivious:
     def test_identity_query_copies_the_randomiser(self):
         g = build_clique(6)

@@ -94,6 +94,13 @@ class TestHillclimb:
         report = hillclimb_utility(build_cycle(6), HALF, iters=2000, seed=seed)
         assert report.best_utility == Fraction(8, 21)
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_a_start_with_another_row_count_is_refused(self, rows):
+        start = ChannelMatrix.identity(rows)
+        message = "^start matrix rows must match the graph's vertex count$"
+        with pytest.raises(ValueError, match=message):
+            hillclimb_utility(build_clique(4), HALF, iters=10, start=start)
+
     def test_without_privacy_nothing_beats_blind_guessing(self):
         report = hillclimb_utility(build_clique(4), ONE, iters=500, seed=9)
         assert report.best_utility == Fraction(1, 4)

@@ -1,10 +1,12 @@
 """Canonical-form pipeline: exact preservation guarantees on random channels."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 from dpchannel import (
+    AutomorphismFamily,
     CanonicalForm,
     ChannelMatrix,
     Graph,
@@ -149,8 +151,6 @@ class TestSymmetrizeErrors:
         g = build_cycle(4)
         m = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
         cf = to_diagonal_form(m, g)
-        from dpchannel import AutomorphismFamily
-
         with pytest.raises(ValueError):
             symmetrize_vt_plus(cf, g, AutomorphismFamily(((0, 1, 2, 3),) * 4))
 
@@ -173,6 +173,35 @@ class TestSymmetrizeErrors:
         g = Graph(5, {(0, 1), (1, 2), (2, 0), (3, 4)})
         with pytest.raises(SymmetryRequiredError):
             canonicalize(ChannelMatrix.identity(5), g)
+
+
+class TestRefusals:
+    """Each refusal of ``CanonicalForm`` and ``to_diagonal_form``, with its message."""
+
+    @pytest.mark.parametrize("rows, stage, message", [
+        ([["1", "0"], ["0", "1"]], "square", "unknown stage 'square'"),
+        ([["1", "0"], ["0", "1"], ["1", "0"]], "diagonal",
+         "canonical forms carry at least as many columns as rows"),
+        ([["1/4", "3/4"], ["1/2", "1/2"]], "diagonal",
+         "diagonal entries must carry their column maximum"),
+        ([["1/2", "1/4", "1/4"], ["1/4", "3/4", "0"]], "diagonal",
+         "columns beyond the square block must be zero"),
+        ([["1/2", "1/2", "0"], ["1/4", "3/4", "0"]], "symmetric",
+         "symmetric stage requires equal diagonal entries"),
+        ([["1/4", "3/4", "0"], ["3/4", "1/4", "0"]], "symmetric",
+         "diagonal entries must carry their column maximum"),
+        ([["1/2", "0", "1/2"], ["0", "1/2", "1/2"]], "symmetric",
+         "columns beyond the square block must be zero"),
+    ], ids=["stage", "shape", "diagonal", "surplus", "equal-diagonal", "symmetric-diagonal",
+            "symmetric-surplus"])
+    def test_canonical_form(self, rows, stage, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CanonicalForm(ChannelMatrix.from_rows(rows), stage)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_diagonal_form_needs_one_row_per_vertex(self, n):
+        with pytest.raises(ValueError, match="^matrix rows must match the graph's vertex count$"):
+            to_diagonal_form(ChannelMatrix.identity(n), build_cycle(3))
 
 
 class TestCertifiesOnce:
@@ -205,15 +234,38 @@ class TestCertifiesOnce:
         assert calls == {"is_distance_regular": 1, "verify_family": 1}
 
     def test_public_steps_still_verify_what_they_are_handed(self, calls):
-        petersen = build_family("petersen")
-        array = is_distance_regular(petersen)   # the package binding, not counted
+        # the graph's own family was verified when it was recorded; an equal
+        # family that is another object is verified again
+        petersen, pentagon, cycle = build_family("petersen"), build_cycle(5), build_cycle(6)
+        calls["verify_family"] = 0              # the builders verify what they record
         cf = to_diagonal_form(ChannelMatrix.identity(10), petersen)
-        symmetrize_distance_regular(cf, petersen, array)
-        cycle = build_cycle(6)
-        family = vt_plus_certificate(cycle).family
-        calls["verify_family"] = 0
-        symmetrize_vt_plus(to_diagonal_form(ChannelMatrix.identity(6), cycle), cycle, family)
-        assert calls == {"is_distance_regular": 1, "verify_family": 1}
+        with pytest.raises(ValueError, match="^intersection array does not match the graph$"):
+            symmetrize_distance_regular(cf, petersen, is_distance_regular(pentagon))
+        own = cycle.certified_family
+        other = AutomorphismFamily(generators=own.generators, orders=own.orders)
+        cf = to_diagonal_form(ChannelMatrix.identity(6), cycle)
+        by_own = symmetrize_vt_plus(cf, cycle, own)
+        assert calls == {"is_distance_regular": 0, "verify_family": 0}
+        assert symmetrize_vt_plus(cf, cycle, other) == by_own
+        assert calls == {"is_distance_regular": 0, "verify_family": 1}
+
+    def test_the_intersection_array_is_counted_once_per_graph(self, monkeypatch):
+        counted = []
+        body = Graph.__dict__["intersection_array"].func
+
+        def counting(g):
+            counted.append(g)
+            return body(g)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(Graph, "intersection_array")
+        monkeypatch.setattr(Graph, "intersection_array", spy)
+        g = build_family("petersen")
+        out = canonicalize(ChannelMatrix.identity(10), g)
+        cf = to_diagonal_form(ChannelMatrix.identity(10), g)
+        assert symmetrize_distance_regular(cf, g, is_distance_regular(g)) == out
+        assert out.symmetry == "distance_regular"
+        assert counted == [g]
 
 
 PIPELINE_GRAPHS = ["clique:6", "cycle:6", "petersen", "hamming:2,3"]
