@@ -321,10 +321,15 @@ class ChannelMatrix:
         return tuple(Fraction(row[j], den) for row, den in zip(self.numerators, self.denominators))
 
     def _row_factors(self, weights):
-        """``(f, D)``: integers with ``weights[i] / denominators[i] == f[i] / D``."""
-        scaled = [Fraction(w, den) for w, den in zip(weights, self.denominators)]
-        den = math.lcm(*(s.denominator for s in scaled))
-        return [s.numerator * (den // s.denominator) for s in scaled], den
+        """``(f, D)``: integers with ``weights[i] / denominators[i] == f[i] / D``,
+        D the lcm of the reduced denominators.  A weight p/q is in lowest
+        terms, so p/(q*den) reduces by ``gcd(p, den)`` alone."""
+        tops = [w.numerator for w in weights]
+        gcds = list(map(math.gcd, tops, self.denominators))
+        bottoms = [w.denominator * (den // g)
+                   for w, den, g in zip(weights, self.denominators, gcds)]
+        den = math.lcm(*bottoms)
+        return [p // g * (den // b) for p, g, b in zip(tops, gcds, bottoms)], den
 
     def scaled_rows(self, weights=None):
         """Integers ``(rows, den)`` with ``weights[i] * M[i][j] == rows[i][j] / den``."""
@@ -511,8 +516,18 @@ def dp_audit(matrix, graph):
 
     Entries a/D_i and b/D_h are compared as the integers a*D_h and b*D_i
     (as a and b when D_i == D_h), and the worst ratio is kept as an integer
-    pair until the end.  The witness is the first strict maximum in
-    ``edge_list`` and column order.
+    pair in lowest terms, reduced once after each edge that raised it.  The
+    witness is the first strict maximum in ``edge_list`` and column order.
+
+    In the full scan, an edge whose rows share a denominator enters the cell
+    loop only if some cell strictly beats the worst ratio num/den in either
+    direction, ``a*den > b*num`` or ``b*den > a*num``: one C-level pass over
+    per-row products ``row*den`` and ``row*num``, made when a row is first
+    met and dropped when the worst ratio rises.  A tie, an equal pair or a
+    lower ratio changes nothing, and a zero facing a positive entry always
+    beats (b*den > 0), so a skipped edge could not have changed the result
+    or the witness.  Edges across two denominators, and the vertex-0 scan
+    below, run the cell loop on every edge.
 
     When ``graph.certified_family`` is a generated family and the square
     matrix is invariant under its members (:func:`_is_invariant`), only
@@ -528,17 +543,28 @@ def dp_audit(matrix, graph):
     if matrix.rows != graph.n:
         raise ValueError("matrix rows must match the graph's vertex count")
     nums, dens = matrix.numerators, matrix.denominators
-    edges = ([(0, h) for h in graph.adjacency[0]] if _is_invariant(matrix, graph)
-             else graph.edge_list)
+    invariant = _is_invariant(matrix, graph)
+    edges = [(0, h) for h in graph.adjacency[0]] if invariant else graph.edge_list
     best_num = best_den = 1
     witness = None
+    products = {}       # row -> (row * best_den, row * best_num), full scan only
     for i, h in edges:
         den_i, den_h = dens[i], dens[h]
         if den_i == den_h:
+            if not invariant:
+                for r in (i, h):
+                    if r not in products:
+                        products[r] = (list(map(operator.mul, nums[r], repeat(best_den))),
+                                       list(map(operator.mul, nums[r], repeat(best_num))))
+                (low_i, high_i), (low_h, high_h) = products[i], products[h]
+                if not (any(map(operator.gt, low_i, high_h))
+                        or any(map(operator.gt, low_h, high_i))):
+                    continue
             pairs = zip(nums[i], nums[h])
         else:
             pairs = zip(map(operator.mul, nums[i], repeat(den_h)),
                         map(operator.mul, nums[h], repeat(den_i)))
+        raised = False
         for j, (x, y) in enumerate(pairs):
             if x == y:
                 continue
@@ -547,9 +573,13 @@ def dp_audit(matrix, graph):
                 return DpAudit(math.inf, wit, None)
             if x > y:
                 if x * best_den > y * best_num:
-                    best_num, best_den, witness = x, y, (i, h, j)
+                    best_num, best_den, witness, raised = x, y, (i, h, j), True
             elif y * best_den > x * best_num:
-                best_num, best_den, witness = y, x, (h, i, j)
+                best_num, best_den, witness, raised = y, x, (h, i, j), True
+        if raised:
+            g = math.gcd(best_num, best_den)
+            best_num, best_den = best_num // g, best_den // g
+            products = {}
     best = Fraction(best_num, best_den)
     eps_star = 0.0 if best == 1 else math.log(best.numerator) - math.log(best.denominator)
     return DpAudit(eps_star, witness, best)

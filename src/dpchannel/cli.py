@@ -304,7 +304,7 @@ def cmd_analyze(args):
     }
 
     ent_bound = util_bound = None
-    if g.is_connected and matrix.rows == g.n:
+    if g.is_connected:
         shared = common_profile(g)
         if shared is not None:
             ent_bound = bounds_mod.posterior_entropy_bound(shared, pp)

@@ -279,7 +279,18 @@ def reference_dp_audit(matrix, graph):
 # Graphs the synthesiser accepts, and all of them with a path added.
 SYMMETRIC_GRAPHS = (build_cycle(5), build_clique(4), build_petersen(), build_hamming(2, 3))
 AUDIT_GRAPHS = SYMMETRIC_GRAPHS + (build_path(4),)
+# n = 16 with degrees 6, 4 and at most 2.
+LARGE_AUDIT_GRAPHS = (build_hamming(2, 4), build_hamming(4, 2), build_path(16))
 PRECISE = PrivacyParameter.from_epsilon(0.7)
+
+
+def vertices_by_first_edge(g):
+    """The vertices in the order in which ``edge_list`` first reaches them."""
+    first = {}
+    for k, edge in enumerate(g.edge_list):
+        for v in edge:
+            first.setdefault(v, k)
+    return sorted(first, key=first.get)
 
 
 def random_rows(rng, n, m, kind):
@@ -327,6 +338,45 @@ class TestIntegerKernelMatchesFractionReference:
                  for row, other, k in zip(kernel.entries, reversed(kernel.entries),
                                            (rng.randint(0, 4) for _ in kernel.entries))])
             assert dp_audit(mixed, g) == reference_dp_audit(mixed, g)
+
+    @pytest.mark.parametrize("kind", ["ties", "late-rise", "zero-after-rise", "cross"])
+    @pytest.mark.parametrize("g", LARGE_AUDIT_GRAPHS, ids=lambda g: f"n{g.n}-e{len(g.edge_list)}")
+    def test_dp_audit_skipping_edges_that_cannot_beat_the_worst_ratio(self, g, kind):
+        """Rows that share one denominator at the 54-bit ratio, each a
+        permutation of one row of powers of r, so most edges tie at the worst
+        ratio and are skipped; a late vertex raises the worst ratio, then
+        another brings a zero to a positive entry; or one row has its own
+        denominator, so its edges are cross-multiplied among skipped ones."""
+        rng = random.Random(f"skip-{kind}-{g.n}-{len(g.edge_list)}")
+        late = vertices_by_first_edge(g)
+        for _ in range(12):
+            m = rng.randint(4, 8)
+            base = [0, 1] + [rng.randint(0, 1) for _ in range(m - 4)]
+            rows = []
+            for _ in range(g.n):
+                rng.shuffle(base)
+                rows.append(base + [None, 3])      # None: a zero cell
+            if kind == "late-rise":
+                riser = rows[late[rng.randrange(g.n // 2, g.n)]]
+            if kind == "zero-after-rise":
+                riser, zeroed = rows[late[-2]], rows[late[-1]]
+                zeroed[0], zeroed[-2] = zeroed[-2], zeroed[0]
+            if kind in ("late-rise", "zero-after-rise"):     # r^0 facing r^3
+                k = riser.index(0)
+                riser[k], riser[-1] = 3, 0
+            if kind == "cross":
+                rows[rng.randrange(1, g.n - 1)][-1] = 2
+            weights = [[0 if e is None else PRECISE.r ** e for e in row] for row in rows]
+            matrix = ChannelMatrix.from_rows([[x / sum(w) for x in w] for w in weights])
+            audit = dp_audit(matrix, g)
+            assert audit == reference_dp_audit(matrix, g)
+            assert len(set(matrix.denominators)) == (2 if kind == "cross" else 1)
+            if kind == "ties":
+                assert audit.max_ratio == PRECISE.inv_ratio
+            if kind == "late-rise":
+                assert audit.max_ratio == PRECISE.inv_ratio ** 3
+            if kind == "zero-after-rise":
+                assert audit.max_ratio is None and late[-1] in audit.worst_witness
 
     def test_zero_over_zero_is_ratio_one(self):
         m = ChannelMatrix.from_rows([["1/2", "1/2", "0"], ["1/4", "3/4", "0"]])
