@@ -34,7 +34,6 @@ from .channels import (
     column_maxima_sum,
     dp_audit,
     format_fraction,
-    is_dp,
     leakage,
     log2_fraction,
     min_capacity,

@@ -86,8 +86,6 @@ class _TextCells(dict):
 def _exact_pair(value):
     """``(numerator, denominator)`` of ``as_fraction(value)``; a zero
     denominator is a ValueError that names the cell."""
-    if type(value) is int:
-        return value, 1
     try:
         q = as_fraction(value)
     except ZeroDivisionError:
@@ -137,13 +135,11 @@ def _digits(x):
 
 
 def format_fraction(q):
-    if q.denominator == 1:
-        return _digits(q.numerator)
-    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+    return _format_ratio(q.numerator, q.denominator)
 
 
 def _format_ratio(num, den):
-    """``format_fraction(Fraction(num, den))`` without building the Fraction."""
+    """The rational ``num/den`` spelt in lowest terms, ``p/q``, or ``p`` when q is 1."""
     g = math.gcd(num, den)
     return _digits(num // g) if g == den else f"{_digits(num // g)}/{_digits(den // g)}"
 
@@ -247,14 +243,14 @@ class ChannelMatrix:
     ``sum(numerators[i]) == denominators[i]``.  ``entries``, the same values
     as a tuple of ``Fraction`` tuples, is derived on first access.
 
-    ``entries`` may hold anything :func:`as_fraction` reads, and is read by
-    the module's one cell reader into integer rows.  When ``denominators``
-    is given, ``entries`` holds integer numerators instead and row i is
-    ``entries[i]`` over ``denominators[i]``.  Either way the rows are
-    validated and reduced to the lcm form.  Instances are immutable,
-    compare and hash by value and labels.  CSV and JSON spell each value
-    once per denominator, and a kernel carried from its row 0 spells that
-    row alone and has its graph carry the texts (``_formatted_rows``).
+    The constructor takes integer rows, row i being ``numerators[i]`` over
+    ``denominators[i]``; it validates them, reduces them to the lcm form and
+    refuses a row or column label given twice.  :meth:`from_rows` builds
+    from entry values, anything :func:`as_fraction` reads, through the
+    module's one cell reader.  Instances are immutable, compare and hash by
+    value and labels.  CSV and JSON spell each value once per denominator,
+    and a kernel carried from its row 0 spells that row alone and has its
+    graph carry the texts (``_formatted_rows``).
     """
 
     numerators: tuple
@@ -262,10 +258,8 @@ class ChannelMatrix:
     row_labels: tuple
     col_labels: tuple
 
-    def __init__(self, entries, row_labels=None, col_labels=None, *, denominators=None):
-        if denominators is None:
-            entries, denominators = _read_rows(entries)
-        nums = tuple(tuple(row) for row in entries)
+    def __init__(self, numerators, row_labels=None, col_labels=None, *, denominators):
+        nums = tuple(tuple(row) for row in numerators)
         dens = tuple(denominators)
         if len(dens) != len(nums) or any(den <= 0 for den in dens):
             raise ValueError("every row needs one positive denominator")
@@ -282,23 +276,26 @@ class ChannelMatrix:
         # Reduce to the lcm form; a row's sum is its denominator, so the gcd
         # of its numerators divides the denominator too.
         gcds = [math.gcd(*row) for row in nums]
-        if any(g > 1 for g in gcds):
-            nums = tuple(row if g == 1 else tuple(x // g for x in row)
-                         for row, g in zip(nums, gcds))
-            dens = tuple(den // g for den, g in zip(dens, gcds))
+        nums = tuple(row if g == 1 else tuple(x // g for x in row)
+                     for row, g in zip(nums, gcds))
+        dens = tuple(den // g for den, g in zip(dens, gcds))
         rl = tuple(str(x) for x in row_labels) if row_labels is not None \
             else tuple(str(i) for i in range(len(nums)))
         cl = tuple(str(x) for x in col_labels) if col_labels is not None \
             else tuple(str(j) for j in range(m))
         if len(rl) != len(nums) or len(cl) != m:
             raise ValueError("label counts must match the matrix shape")
+        for kind, labels in (("row", rl), ("column", cl)):
+            if len(set(labels)) < len(labels):
+                label = next(x for x, k in Counter(labels).items() if k > 1)
+                raise ValueError(f"{kind} label {label!r} given twice")
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         object.__setattr__(self, "row_labels", rl)
         object.__setattr__(self, "col_labels", cl)
 
     def __repr__(self):
-        return (f"ChannelMatrix(entries={self.entries!r}, row_labels={self.row_labels!r},"
+        return (f"ChannelMatrix.from_rows({self.entries!r}, row_labels={self.row_labels!r},"
                 f" col_labels={self.col_labels!r})")
 
     @cached_property
@@ -353,13 +350,9 @@ class ChannelMatrix:
 
     @classmethod
     def from_rows(cls, rows, row_labels=None, col_labels=None):
-        """Build from entry values; a row or column label given twice is refused."""
-        matrix = cls(rows, row_labels, col_labels)
-        for kind, labels in (("row", matrix.row_labels), ("column", matrix.col_labels)):
-            if len(set(labels)) < len(labels):
-                label = next(x for x, k in Counter(labels).items() if k > 1)
-                raise ValueError(f"{kind} label {label!r} given twice")
-        return matrix
+        """Build from entry values, read by the module's one cell reader."""
+        nums, dens = _read_rows(rows)
+        return cls(nums, row_labels, col_labels, denominators=dens)
 
     @classmethod
     def identity(cls, n, row_labels=None, col_labels=None):
@@ -580,13 +573,8 @@ def dp_audit(matrix, graph):
             g = math.gcd(best_num, best_den)
             best_num, best_den = best_num // g, best_den // g
             products = {}
-    best = Fraction(best_num, best_den)
-    eps_star = 0.0 if best == 1 else math.log(best.numerator) - math.log(best.denominator)
-    return DpAudit(eps_star, witness, best)
-
-
-def is_dp(matrix, graph, pp, tol=DEFAULT_LN_TOL):
-    return dp_audit(matrix, graph).is_dp(pp, tol)
+    eps_star = math.log(best_num) - math.log(best_den)
+    return DpAudit(eps_star, witness, Fraction(best_num, best_den))
 
 
 # ---------------------------------------------------------------------------

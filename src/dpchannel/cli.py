@@ -62,29 +62,15 @@ from .mechanisms import optimal_mechanism, truncated_geometric_fixture
 from .oracle import SearchReport, grid_search_optimal, hillclimb_utility, random_dp_sample
 from .transforms import canonicalize, to_diagonal_form
 
-SIZE_CAP_ENV = "DPCHANNEL_SIZE_CAP"
-
-
-def _size_cap(args):
-    if args.size_cap is not None:
-        return args.size_cap
-    env = os.environ.get(SIZE_CAP_ENV)
-    try:
-        return positive_int(env) if env else DEFAULT_SIZE_CAP
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {env!r}") from None
-
-
 def _load_graph(args):
-    cap = _size_cap(args)
     if args.family:
-        return build_family(args.family, size_cap=cap)
+        return build_family(args.family, size_cap=args.size_cap)
     with open(args.graph_file, encoding="utf-8") as fh:
         data = json.load(fh)
     n = data.get("n") if isinstance(data, dict) else None
-    if type(n) is int and n > cap:         # refused before any per-vertex allocation
-        raise SizeCapError(
-            f"graph file {args.graph_file} has {n} vertices, above the cap of {cap}")
+    if type(n) is int and n > args.size_cap:    # refused before any per-vertex allocation
+        raise SizeCapError(f"graph file {args.graph_file} has {n} vertices,"
+                           f" above the cap of {args.size_cap}")
     return Graph.from_dict(data)
 
 
@@ -415,15 +401,16 @@ def cmd_compare(args):
     right = _load_matrix(args.matrix_b)
     if left.rows != right.rows:
         raise ValueError("matrices must share an input domain to be compared")
-    priors = [("uniform", Prior.uniform(left.rows))]
-    for path in args.prior or []:
-        priors.append((os.path.basename(path), _load_prior(path, left)))
+    uniform = Prior.uniform(left.rows)
+    priors = [("uniform", uniform, uniform)] + [   # each prior aligned to each matrix's labels
+        (os.path.basename(path), _load_prior(path, left), _load_prior(path, right))
+        for path in args.prior or []]
     rows = []
-    for name, prior in priors:
-        success_a = posterior_success(prior, left)
-        success_b = posterior_success(prior, right)
-        rows.append((name, success_a, success_b, leakage(prior, left, success=success_a),
-                     leakage(prior, right, success=success_b)))
+    for name, prior_a, prior_b in priors:
+        success_a = posterior_success(prior_a, left)
+        success_b = posterior_success(prior_b, right)
+        rows.append((name, success_a, success_b, leakage(prior_a, left, success=success_a),
+                     leakage(prior_b, right, success=success_b)))
 
     def payload():
         return {"rows": [{"prior": name, "utility_a": format_fraction(a),
@@ -470,13 +457,11 @@ def cmd_oracle(args):
         report = hillclimb_utility(g, pp, iters=opt["iters"], seed=opt["seed"])
     else:
         best = None
-        count = 0
-        for matrix in random_dp_sample(g, pp, opt["count"], opt["seed"]):
-            count += 1
+        for matrix in random_dp_sample(g, pp, opt["count"], opt["seed"]):  # exactly count
             value = column_maxima_sum(matrix) / matrix.rows
             if best is None or value > best[0]:
                 best = (value, matrix)
-        report = SearchReport("random", opt["seed"], count, best[0], best[1])
+        report = SearchReport("random", opt["seed"], opt["count"], best[0], best[1])
     payload = report.to_dict()
     shared = common_profile(g) if g.is_connected else None
     bound = None
@@ -514,8 +499,8 @@ def _add_graph_source(p):
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--family", help="clique:N | cycle:N | path:N | petersen | hamming:U,V")
     grp.add_argument("--graph-file", help="graph JSON path")
-    p.add_argument("--size-cap", type=positive_int, default=None,
-                   help=f"vertex cap for either graph source (or ${SIZE_CAP_ENV})")
+    p.add_argument("--size-cap", type=positive_int, default=DEFAULT_SIZE_CAP,
+                   help=f"vertex cap for either graph source (default {DEFAULT_SIZE_CAP})")
 
 
 def _add_effort(p):

@@ -683,8 +683,6 @@ def single_orbit_automorphism(g, effort=DEFAULT_SEARCH_EFFORT):
     A(s_0, s_{j+1}): mapping s_{n-1} back to s_0 keeps every edge.
     """
     n = g.n
-    if n == 1:
-        return (0,)
     if not g.is_regular:
         return None
     adjacency = g.adjacency
@@ -896,8 +894,6 @@ def _sharply_transitive_family(perms, n, effort=DEFAULT_SEARCH_EFFORT):
     """
     ident = tuple(range(n))
     cands = [p for p in perms if p != ident and all(p[v] != v for v in range(n))]
-    if n - 1 > len(cands):                  # too few to complete the family
-        return None
     cells = [sum(1 << (v * n + p[v]) for v in range(n)) for p in cands]
     used = sum(1 << (v * n + v) for v in range(n))
     picked = []

@@ -28,7 +28,6 @@ from dpchannel import (
     column_maxima_sum,
     dp_audit,
     format_fraction,
-    is_dp,
     leakage,
     log2_fraction,
     min_capacity,
@@ -191,6 +190,18 @@ class TestChannelMatrix:
             ChannelMatrix.from_dict({"entries": [["1/2", "1/2"], ["1/3", "2/3"]],
                                      "col_labels": ["u", "u"]})
 
+    @pytest.mark.parametrize("build", [
+        lambda rows, cols: ChannelMatrix.identity(2).with_labels(rows, cols),
+        lambda rows, cols: ChannelMatrix([[1, 1], [1, 3]], rows, cols, denominators=[2, 4]),
+    ], ids=["with-labels", "integer-rows"])
+    @pytest.mark.parametrize("rows, cols, message", [
+        (["a", "a"], ["u", "v"], "^row label 'a' given twice$"),
+        (["a", "b"], ["u", "u"], "^column label 'u' given twice$"),
+    ], ids=["row", "column"])
+    def test_every_constructor_refuses_a_label_given_twice(self, build, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            build(rows, cols)
+
 
 class TestIntegerRows:
     def test_integer_rows_equal_and_hash_like_fraction_rows(self):
@@ -251,7 +262,10 @@ class TestIntegerRows:
     ])
     def test_validation_messages(self, rows, denominators, message):
         with pytest.raises(ValueError, match=message):
-            ChannelMatrix(rows, denominators=denominators)
+            if denominators is None:
+                ChannelMatrix.from_rows(rows)
+            else:
+                ChannelMatrix(rows, denominators=denominators)
 
 
 def reference_dp_audit(matrix, graph):
@@ -434,9 +448,9 @@ class TestDpAudit:
 
     def test_exact_comparison_at_zero_tolerance(self):
         m = optimal_mechanism(build_clique(4), HALF).matrix
-        assert is_dp(m, build_clique(4), HALF, tol=0)
+        assert dp_audit(m, build_clique(4)).is_dp(HALF, tol=0)
         tighter = PrivacyParameter.from_ratio(Fraction(51, 100))
-        assert not is_dp(m, build_clique(4), tighter, tol=0)
+        assert not dp_audit(m, build_clique(4)).is_dp(tighter, tol=0)
 
     def test_invariant_under_column_permutation(self):
         m = truncated_geometric_fixture()
