@@ -50,7 +50,7 @@ def report(name, matrix, graph, pp, prior):
 
 def main():
     graph = build_clique(6)
-    pp = PrivacyParameter.from_ratio(Fraction(1, 2))  # epsilon = ln 2
+    pp = PrivacyParameter(Fraction(1, 2))  # epsilon = ln 2
     uniform = Prior.uniform(6)
 
     geometric = truncated_geometric_fixture()

@@ -36,7 +36,7 @@ def show(title, matrix, graph, uniform):
 
 def main():
     graph = build_petersen()
-    pp = PrivacyParameter.from_ratio(Fraction(1, 2))
+    pp = PrivacyParameter(Fraction(1, 2))
     uniform = Prior.uniform(graph.n)
     array = is_distance_regular(graph)
     print(f"graph: petersen, intersection array b={tuple(array.b)} c={tuple(array.c)}\n")
@@ -52,7 +52,7 @@ def main():
         print(f"  column merges: {len(cf.merge_map)} columns into"
               f" {len(merged)} diagonal slots (largest slot took {widest})")
 
-        out = symmetrize_distance_regular(cf, graph, array)
+        out = symmetrize_distance_regular(cf, graph)
         show("symmetric stage", out.matrix, graph, uniform)
         row0 = out.matrix.entries[0][:graph.n]
         print(f"  row 0 is now distance-graded: {[str(x) for x in row0]}")

@@ -20,7 +20,6 @@ from dpchannel import (
     individual_leakage_bound,
     leakage,
     optimal_mechanism,
-    tight_leakage_matrix,
     utility_bound,
 )
 
@@ -56,7 +55,7 @@ def main():
     whole = hamming_leakage_bound(3, 2, pp)
     single = individual_leakage_bound(2, pp)
     g = build_family("hamming:3,2")
-    attained = leakage(Prior.uniform(g.n), tight_leakage_matrix(g, pp))
+    attained = leakage(Prior.uniform(g.n), optimal_mechanism(g, pp).matrix)
     print(f"  whole-database ceiling : {whole.bits:.4f} bits"
           f" (attained: {attained:.4f})")
     print(f"  per-participant ceiling: {single.bits:.4f} bits,"

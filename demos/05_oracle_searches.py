@@ -26,7 +26,7 @@ from dpchannel import (
     utility_bound,
 )
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
+HALF = PrivacyParameter(Fraction(1, 2))
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
 
     print("\n=== hillclimb from the uniform channel, K2 ===")
     g = build_clique(2)
-    start = ChannelMatrix.constant_rows([Fraction(1, 2)] * 2, 2)
+    start = ChannelMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)
     for iters in (100, 1000, 4000):
         report = hillclimb_utility(g, HALF, iters=iters, seed=7, start=start)
         print(f"  {iters:5d} iterations -> best {report.best_utility}"

@@ -75,13 +75,10 @@ from .graphs import (
 )
 from .mechanisms import (
     BaseDependentProfileError,
-    GainFunction,
-    GuessStrategy,
     MechanismBundle,
     compose_oblivious,
     f_map_from_csv,
     optimal_mechanism,
-    tight_leakage_matrix,
     truncated_geometric_fixture,
     utility,
 )

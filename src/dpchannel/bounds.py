@@ -71,8 +71,7 @@ def posterior_entropy_bound(profile, pp):
     core = profile_core(profile, pp)
     return BoundReport(
         KIND_POSTERIOR_ENTROPY, core, log2_fraction(core), 1 / core,
-        {"profile": list(profile.counts), "base": profile.base_vertex,
-         "r": format_fraction(pp.r)})
+        {"profile": list(profile.counts), "r": format_fraction(pp.r)})
 
 
 def utility_bound(profile, pp):
@@ -80,8 +79,7 @@ def utility_bound(profile, pp):
     core = profile_core(profile, pp)
     return BoundReport(
         KIND_UTILITY, core, None, 1 / core,
-        {"profile": list(profile.counts), "base": profile.base_vertex,
-         "r": format_fraction(pp.r), "prior": "uniform"})
+        {"profile": list(profile.counts), "r": format_fraction(pp.r), "prior": "uniform"})
 
 
 def hamming_leakage_bound(u, v, pp):
@@ -124,4 +122,4 @@ def hamming_identity_check(u, v, pp):
 def hamming_profile(u, v):
     """The binomial profile of the (u, v) product domain, from the closed form."""
     counts = tuple(math.comb(u, d) * (v - 1) ** d for d in range(u + 1))
-    return DistanceProfile(0, counts)
+    return DistanceProfile(counts)

@@ -194,10 +194,6 @@ class PrivacyParameter:
         return 1 / self.r
 
     @classmethod
-    def from_ratio(cls, value):
-        return cls(as_fraction(value))
-
-    @classmethod
     def from_epsilon(cls, eps):
         if not 0 <= eps < math.inf:
             raise ValueError("epsilon must be a finite non-negative number")
@@ -359,10 +355,6 @@ class ChannelMatrix:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         return cls(rows, row_labels, col_labels, denominators=[1] * n)
 
-    @classmethod
-    def constant_rows(cls, row, n, row_labels=None, col_labels=None):
-        return cls.from_rows([tuple(row)] * n, row_labels, col_labels)
-
     # -- serialization ------------------------------------------------------
 
     def _formatted_rows(self, quote=""):
@@ -394,12 +386,12 @@ class ChannelMatrix:
 
     @classmethod
     def from_csv(cls, text):
+        """Read ``to_csv``'s form: labels exactly as ``csv`` reads them, cells
+        by the module's one cell reader."""
         rows = _csv_rows(text)
         if len(rows) < 2:
             raise ValueError("matrix CSV needs a header row and at least one data row")
-        col_labels = [c.strip() for c in rows[0][1:]]
-        row_labels = [r[0].strip() for r in rows[1:]]
-        return cls.from_rows([r[1:] for r in rows[1:]], row_labels, col_labels)
+        return cls.from_rows([r[1:] for r in rows[1:]], [r[0] for r in rows[1:]], rows[0][1:])
 
     def to_dict(self):
         return {
@@ -442,7 +434,7 @@ def prior_from_csv(text):
     for row in _csv_rows(text):
         if len(row) != 2:
             raise ValueError("prior file lines must be 'label,value'")
-        label = row[0].strip()
+        label = row[0]
         if label in values:
             raise ValueError(f"prior label {label!r} given twice")
         values[label] = row[1]

@@ -108,9 +108,9 @@ def _exact(option, text):
 
 def _privacy(args):
     if args.ratio is not None:
-        return PrivacyParameter.from_ratio(_exact("--ratio", args.ratio))
+        return PrivacyParameter(_exact("--ratio", args.ratio))
     if args.epsilon == "ln2":
-        return PrivacyParameter.from_ratio(Fraction(1, 2))
+        return PrivacyParameter(Fraction(1, 2))
     try:
         eps = float(args.epsilon)
     except ValueError:
@@ -236,7 +236,7 @@ def cmd_graph(args):
         shared = common_profile(g)
         payload.update(
             diameter=shared.diameter if shared is not None else g.distance_matrix.diameter,
-            profile_base_0=list(distance_profile(g, 0).counts),
+            profile_base_0=list(distance_profile(g).counts),
             profile_base_independent=shared is not None)
         array = is_distance_regular(g)
         if array is not None:

@@ -271,15 +271,11 @@ class DistanceMatrix:
     dist: tuple
     diameter: int
 
-    def d(self, i, j):
-        return self.dist[i][j]
-
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Counts ``counts[d]`` of vertices at each distance d from ``base_vertex``."""
+    """Counts ``counts[d]`` of vertices at each distance d from a base vertex."""
 
-    base_vertex: int
     counts: tuple
 
     def __post_init__(self):
@@ -400,7 +396,7 @@ def _hamming_edges(tuples, v):
             for d, stride in zip(tup, strides) for val in range(d + 1, v))
 
 
-def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
+def build_hamming(u, v):
     """Product domain of ``u`` participants over ``v`` values.
 
     Vertices are all u-tuples over {0, .., v-1}; two tuples are adjacent iff
@@ -409,16 +405,12 @@ def build_hamming(u, v, size_cap=DEFAULT_SIZE_CAP):
     derived from the graph are reproducible; for v > 10 the digits are
     joined by dots.  The graph records its coordinate translations as its
     ``certificate``.
-
-    Raises ``SizeCapError`` when ``v**u`` exceeds ``size_cap``.
     """
     if u < 1:
         raise ValueError("need at least one participant")
     if v < 2:
         raise ValueError("need at least two values per participant")
     n = v ** u
-    if n > size_cap:
-        raise SizeCapError(f"hamming({u},{v}) has {n} vertices, above the cap of {size_cap}")
     tuples = list(itertools.product(range(v), repeat=u))
     sep = "" if v <= 10 else "."
     g = Graph(n, _hamming_edges(tuples, v), tuple(sep.join(map(str, t)) for t in tuples))
@@ -483,7 +475,10 @@ def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
             u, v = (int(x) for x in arg.split(","))
         except ValueError:
             raise ValueError(f"malformed graph family spec {spec!r}") from None
-        return build_hamming(u, v, size_cap=size_cap)
+        if u >= 1 and v >= 2 and v ** u > size_cap:     # build_hamming refuses the rest
+            raise SizeCapError(
+                f"hamming({u},{v}) has {v ** u} vertices, above the cap of {size_cap}")
+        return build_hamming(u, v)
     raise ValueError(f"unknown graph family {name!r}")
 
 
@@ -517,18 +512,14 @@ def distances(g):
     return DistanceMatrix(tuple(tuple(r) for r in rows), diameter)
 
 
-def distance_profile(g, base=0):
-    """How many vertices sit at each distance from ``base``.
-
-    Base 0 reads the single BFS ``g.base_row``; other bases read the
-    distance matrix.  Raises ``DisconnectedGraphError`` when some vertex is
-    unreachable.
+def distance_profile(g):
+    """How many vertices sit at each distance from vertex 0, read off the
+    single BFS ``g.base_row``; vertex v's counts are ``g.profile_counts[v]``.
+    Raises ``DisconnectedGraphError`` when some vertex is unreachable.
     """
-    if base != 0:
-        return DistanceProfile(base, g.profile_counts[base])
     if not g.is_connected:
         raise DisconnectedGraphError("distance profile needs a connected graph")
-    return DistanceProfile(0, _strata(g.base_row))
+    return DistanceProfile(_strata(g.base_row))
 
 
 def common_profile(g):
@@ -539,11 +530,11 @@ def common_profile(g):
     ``DisconnectedGraphError`` when some vertex is unreachable.
     """
     if g.certified_family is not None:
-        return distance_profile(g, 0)
+        return distance_profile(g)
     counts = g.profile_counts
     if any(other != counts[0] for other in counts):
         return None
-    return DistanceProfile(0, counts[0])
+    return DistanceProfile(counts[0])
 
 
 # ---------------------------------------------------------------------------

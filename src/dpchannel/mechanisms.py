@@ -43,60 +43,6 @@ class BaseDependentProfileError(ValueError):
 
 
 @dataclass(frozen=True)
-class GainFunction:
-    """Reward for guessing y' when the true answer is y.
-
-    The binary kind pays 1 for exact recovery and 0 otherwise; the table
-    kind carries an explicit |Y| x |Y| matrix ``table[guess][truth]``.
-    """
-
-    kind: str
-    table: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "table"):
-            raise ValueError(f"unknown gain kind {self.kind!r}")
-        if (self.kind == "table") != (self.table is not None):
-            raise ValueError("a gain table is attached exactly to the table kind")
-        if self.table is not None:
-            table = tuple(tuple(as_fraction(x) for x in row) for row in self.table)
-            if any(len(row) != len(table) for row in table):
-                raise ValueError("gain table must be square")
-            object.__setattr__(self, "table", table)
-
-    @classmethod
-    def binary(cls):
-        return cls("binary")
-
-    @classmethod
-    def from_table(cls, rows):
-        return cls("table", tuple(tuple(r) for r in rows))
-
-
-@dataclass(frozen=True)
-class GuessStrategy:
-    """Either a fixed total map from outputs to answers, or the optimal marker."""
-
-    mapping: tuple | None = None
-
-    def __post_init__(self):
-        if self.mapping is not None:
-            object.__setattr__(self, "mapping", tuple(int(x) for x in self.mapping))
-
-    @classmethod
-    def optimal(cls):
-        return cls(None)
-
-    @classmethod
-    def from_map(cls, seq):
-        return cls(tuple(seq))
-
-    @property
-    def is_optimal(self):
-        return self.mapping is None
-
-
-@dataclass(frozen=True)
 class MechanismBundle:
     """A synthesised randomiser: answer graph, channel, level, normaliser."""
 
@@ -138,7 +84,9 @@ def optimal_mechanism(graph, pp):
     The channel is the distance kernel c * r^distance.  It is exactly at the
     privacy boundary (every adjacent ratio is e^epsilon when the graph has
     an edge) and its uniform-prior binary utility equals the normaliser c,
-    which is the utility ceiling for the graph's profile.
+    which is the utility ceiling for the graph's profile.  The same kernel,
+    viewed as a worst-case channel on the secret domain, meets the
+    posterior-entropy floor with equality.
     """
     if not graph.is_connected:
         raise DisconnectedGraphError("mechanism synthesis needs a connected graph")
@@ -166,42 +114,41 @@ def optimal_mechanism(graph, pp):
     return MechanismBundle(graph, matrix, pp, 1 / core)
 
 
-def tight_leakage_matrix(graph, pp):
-    """The same distance kernel, viewed as a worst-case channel on the
-    secret domain: it meets the posterior-entropy floor with equality."""
-    return optimal_mechanism(graph, pp).matrix
-
-
 def utility(prior, matrix, gain=None, guess=None):
     """Expected gain of a guess strategy against the channel.
 
-    With the binary gain and the optimal guess this is exactly the
+    ``gain`` is None for the binary gain (1 for exact recovery, 0
+    otherwise) or a square table ``gain[guess][truth]`` over the answer
+    set, its values read by :func:`as_fraction`.  ``guess`` is None for the
+    optimal guess or one answer index per output, total over the output
+    set.  With the binary gain and the optimal guess this is exactly the
     posterior success probability (guess the most plausible answer per
-    output).  A fixed mapping must be total over the output set.  All
-    arithmetic is exact.
+    output).  All arithmetic is exact.
     """
-    gain = gain or GainFunction.binary()
-    guess = guess or GuessStrategy.optimal()
     n, m = matrix.rows, matrix.cols
     if len(prior) != n:
         raise ValueError("prior length must match the matrix rows")
-    if gain.table is not None and len(gain.table) != n:
-        raise ValueError("gain table must be indexed by the answer set")
-    if not guess.is_optimal:
-        if len(guess.mapping) != m:
+    if gain is not None:
+        gain = [[as_fraction(x) for x in row] for row in gain]
+        if any(len(row) != len(gain) for row in gain):
+            raise ValueError("gain table must be square")
+        if len(gain) != n:
+            raise ValueError("gain table must be indexed by the answer set")
+    if guess is not None:
+        if len(guess) != m:
             raise ValueError("guess map must be total over the output set")
-        if any(not 0 <= y < n for y in guess.mapping):
+        if any(not 0 <= y < n for y in guess):
             raise ValueError("guess map targets unknown answers")
 
-    if gain.kind == "binary" and guess.is_optimal:
+    if gain is None and guess is None:
         return posterior_success(prior, matrix)
     joint, den = matrix.scaled_rows(prior.probs)     # p(y) M[y][z] == joint[y][z] / den
-    if gain.kind == "binary":
-        return Fraction(sum(joint[y][z] for z, y in enumerate(guess.mapping)), den)
+    if gain is None:
+        return Fraction(sum(joint[y][z] for z, y in enumerate(guess)), den)
     total = 0
     for z, col in enumerate(zip(*joint)):
-        cands = range(n) if guess.is_optimal else (guess.mapping[z],)
-        total += max(sum(map(operator.mul, col, gain.table[cand])) for cand in cands)
+        cands = range(n) if guess is None else (guess[z],)
+        total += max(sum(map(operator.mul, col, gain[cand])) for cand in cands)
     return Fraction(total, den)
 
 
@@ -252,7 +199,7 @@ def f_map_from_csv(text, secret_labels, answer_labels):
     for row in _csv_rows(text):
         if len(row) != 2:
             raise ValueError("query map lines must be 'secret,answer'")
-        x, y = row[0].strip(), row[1].strip()
+        x, y = row
         if x not in secret_index:
             raise ValueError(f"unknown secret label {x!r}")
         if y not in answer_index:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import ChannelMatrix, _digits, as_fraction, dp_audit
+from .channels import ChannelMatrix, as_fraction, dp_audit, format_fraction
 from .graphs import DisconnectedGraphError, InternalError, SizeCapError, UNREACHABLE
 from .mechanisms import BaseDependentProfileError, optimal_mechanism
 
@@ -46,12 +46,11 @@ class SearchReport:
     best_matrix: ChannelMatrix
 
     def to_dict(self):
-        utility = self.best_utility
         d = {
             "method": self.method,
             "trials": self.trials,
-            "best_utility": f"{_digits(utility.numerator)}/{_digits(utility.denominator)}",
-            "best_utility_float": float(utility),
+            "best_utility": format_fraction(self.best_utility),
+            "best_utility_float": float(self.best_utility),
             "best_matrix": self.best_matrix.to_dict(),
         }
         if self.seed is not None:

@@ -110,18 +110,15 @@ def _require_diagonal(cf):
         raise ValueError("symmetrisation expects a diagonal-stage canonical form")
 
 
-def symmetrize_distance_regular(cf, graph, array):
+def symmetrize_distance_regular(cf, graph):
     """Average each entry over its distance class.
 
-    ``array`` is the intersection-array witness; it is checked against the
-    graph's own ``intersection_array``, counted once per graph, and a
-    mismatch or a non-distance-regular graph is a precondition error.
+    The graph's ``intersection_array``, counted once per graph, must exist;
+    a graph that is not distance-regular is a precondition error.
     """
     _require_diagonal(cf)
     if graph.intersection_array is None:
         raise ValueError("the graph is not distance-regular")
-    if graph.intersection_array != array:
-        raise ValueError("intersection array does not match the graph")
     # Class d's mean is sums[d] / (den * n * counts[d]); over the one row
     # denominator den * n * lcm(counts) its numerator is an integer.
     n, m = graph.n, cf.matrix.cols
@@ -170,7 +167,7 @@ def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
     """Full pipeline: :func:`to_diagonal_form`, then one public symmetric step.
 
     Distance-regularity is preferred, with :func:`symmetrize_distance_regular`
-    on ``is_distance_regular(graph)``; otherwise :func:`symmetrize_vt_plus`
+    when ``is_distance_regular(graph)`` finds an array; otherwise :func:`symmetrize_vt_plus`
     averages over the family :func:`vt_plus_certificate` certifies, and
     always on a disconnected graph, where distance-regularity is undefined.
     Raises ``SymmetryRequiredError`` when neither applies (or could be
@@ -179,9 +176,8 @@ def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
     certificate's family is the graph's own, verified when it was recorded.
     """
     cf = to_diagonal_form(matrix, graph)
-    array = is_distance_regular(graph) if graph.is_connected else None
-    if array is not None:
-        return symmetrize_distance_regular(cf, graph, array)
+    if graph.is_connected and is_distance_regular(graph) is not None:
+        return symmetrize_distance_regular(cf, graph)
     cert = vt_plus_certificate(graph, effort)
     if cert.status == "yes":
         return symmetrize_vt_plus(cf, graph, cert.family)

@@ -39,7 +39,7 @@ def distance_ratio_audit(matrix, graph, pp):
         for h in range(graph.n):
             if i == h:
                 continue
-            d = dm.d(i, h)
+            d = dm.dist[i][h]
             if d == UNREACHABLE:
                 continue
             scale = powers[d]

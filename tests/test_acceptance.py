@@ -33,7 +33,6 @@ from dpchannel import (
     posterior_success,
     random_dp_sample,
     symmetrize_distance_regular,
-    tight_leakage_matrix,
     to_diagonal_form,
     truncated_geometric_fixture,
     utility,
@@ -41,7 +40,7 @@ from dpchannel import (
     vt_plus_certificate,
 )
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
+HALF = PrivacyParameter(Fraction(1, 2))
 
 TIGHTNESS_GRAPHS = ("clique:2", "clique:3", "clique:6", "cycle:4", "cycle:6",
                     "petersen", "hamming:2,2", "hamming:3,2", "hamming:2,3")
@@ -84,7 +83,7 @@ def criterion_3_bound_tightness():
         for r in TIGHTNESS_RATIOS:
             pp = PrivacyParameter(r)
             ent = posterior_entropy_bound(profile, pp)
-            tight = tight_leakage_matrix(g, pp)
+            tight = optimal_mechanism(g, pp).matrix
             assert posterior_success(uniform, tight) == 1 / ent.exact_core, (spec, r)
 
             util = utility_bound(profile, pp)
@@ -124,7 +123,7 @@ def criterion_5_pipeline_property_suite():
             for matrix in random_dp_sample(g, pp, 12, seed=1000 + k):
                 before = dp_audit(matrix, g)
                 cf = to_diagonal_form(matrix, g)
-                out = symmetrize_distance_regular(cf, g, array)
+                out = symmetrize_distance_regular(cf, g)
                 for stage in (cf.matrix, out.matrix):
                     assert (posterior_success(uniform, matrix)
                             == posterior_success(uniform, stage)), spec
@@ -166,7 +165,7 @@ def criterion_7_individual_leakage_bound():
             core = (v - 1) * r + 1
             ratios = set()
             for u_context in (1, 2, 3):
-                tight = tight_leakage_matrix(g, pp)
+                tight = optimal_mechanism(g, pp).matrix
                 success_ratio = posterior_success(uniform, tight) / uniform.max_prob
                 assert success_ratio == Fraction(v) / core, (v, r, u_context)
                 ratios.add(success_ratio)

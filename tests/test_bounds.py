@@ -26,9 +26,9 @@ from dpchannel import (
     utility_bound,
 )
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
-THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
-ONE = PrivacyParameter.from_ratio(1)
+HALF = PrivacyParameter(Fraction(1, 2))
+THIRD = PrivacyParameter(Fraction(1, 3))
+ONE = PrivacyParameter(1)
 
 
 @pytest.mark.parametrize("bound, args, message", [
@@ -58,7 +58,7 @@ class TestPosteriorEntropyBound:
         assert report.bits == pytest.approx(math.log2(10), abs=1e-12)
 
     def test_petersen_half(self):
-        profile = DistanceProfile(0, (1, 3, 6))
+        profile = DistanceProfile((1, 3, 6))
         report = posterior_entropy_bound(profile, HALF)
         assert report.exact_core == 4
         assert report.bits == 2.0
@@ -74,11 +74,11 @@ class TestUtilityBound:
         assert utility_bound(profile, ONE).probability == Fraction(1, 10)
 
     def test_even_cycle(self):
-        profile = DistanceProfile(0, (1, 2, 2, 1))
+        profile = DistanceProfile((1, 2, 2, 1))
         assert utility_bound(profile, HALF).probability == Fraction(8, 21)
 
     def test_duality_with_the_entropy_bound(self):
-        profile = DistanceProfile(0, (1, 4, 4))
+        profile = DistanceProfile((1, 4, 4))
         for pp in (HALF, THIRD, ONE):
             ent = posterior_entropy_bound(profile, pp)
             util = utility_bound(profile, pp)
@@ -96,7 +96,7 @@ class TestHammingLeakageBound:
         assert report.exact_core == Fraction(9, 4)
 
     def test_tiny_r_approaches_total_disclosure(self):
-        tiny = PrivacyParameter.from_ratio(Fraction(1, 10**6))
+        tiny = PrivacyParameter(Fraction(1, 10**6))
         report = hamming_leakage_bound(3, 4, tiny)
         assert report.bits < 3 * math.log2(4)
         assert report.bits == pytest.approx(3 * math.log2(4), abs=1e-4)
@@ -155,7 +155,7 @@ class TestHammingIdentity:
 
 class TestMonotonicity:
     def test_bounds_move_with_r(self):
-        profile = DistanceProfile(0, (1, 3, 6))
+        profile = DistanceProfile((1, 3, 6))
         rs = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
         entropies = [posterior_entropy_bound(profile, PrivacyParameter(r)).bits for r in rs]
         utilities = [utility_bound(profile, PrivacyParameter(r)).probability for r in rs]
@@ -165,7 +165,7 @@ class TestMonotonicity:
 
 class TestReportSerialization:
     def test_json_schema(self):
-        report = utility_bound(DistanceProfile(0, (1, 2, 2, 1)), HALF)
+        report = utility_bound(DistanceProfile((1, 2, 2, 1)), HALF)
         payload = json.loads(report.to_json())
         assert set(payload) == {"kind", "bits", "probability",
                                 "core_num", "core_den", "inputs"}

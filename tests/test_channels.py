@@ -45,7 +45,9 @@ from dpchannel import (
 from chained_audit import distance_ratio_audit
 from dpchannel import channels, graphs
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
+HALF = PrivacyParameter(Fraction(1, 2))
+# labels that a stripping or naively splitting reader would change
+PADDED_LABELS = (" lead", "trail ", "end\r", "a,b")
 
 
 def weights_to_matrix(weights):
@@ -92,10 +94,10 @@ class TestCoercion:
 class TestPrivacyParameter:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
-            PrivacyParameter.from_ratio(0)
+            PrivacyParameter(0)
         with pytest.raises(ValueError):
-            PrivacyParameter.from_ratio("3/2")
-        assert PrivacyParameter.from_ratio(1).epsilon == 0.0
+            PrivacyParameter("3/2")
+        assert PrivacyParameter(1).epsilon == 0.0
 
     def test_epsilon_of_half(self):
         assert HALF.epsilon == pytest.approx(math.log(2), abs=1e-15)
@@ -127,6 +129,10 @@ class TestPrior:
         again, labels = prior_from_csv(text)
         assert again == prior
         assert labels == ("A", "B", "C")
+
+    def test_csv_roundtrip_keeps_labels_verbatim(self):
+        prior = Prior.uniform(4)
+        assert prior_from_csv(prior_to_csv(prior, PADDED_LABELS)) == (prior, PADDED_LABELS)
 
     def test_csv_refuses_a_label_given_twice(self):
         with pytest.raises(ValueError, match="prior label 'A' given twice"):
@@ -167,6 +173,10 @@ class TestChannelMatrix:
         # csv quotes the "\r" on every Python, so csv.reader reads it back
         m = ChannelMatrix.identity(2, ["cr\rx", "y"], ["a", "cr\rz"])
         assert m.to_csv().startswith(',a,"cr\rz"\n"cr\rx",')
+        assert ChannelMatrix.from_csv(m.to_csv()) == m
+
+    def test_csv_roundtrip_keeps_labels_verbatim(self):
+        m = ChannelMatrix.identity(4, PADDED_LABELS, PADDED_LABELS[::-1])
         assert ChannelMatrix.from_csv(m.to_csv()) == m
 
     def test_json_roundtrip_exact(self):
@@ -417,7 +427,7 @@ class TestIntegerKernelMatchesFractionReference:
 
 class TestDpAudit:
     def test_constant_rows_leak_nothing(self):
-        m = ChannelMatrix.constant_rows([Fraction(1, 3)] * 3, 3)
+        m = ChannelMatrix.from_rows([[Fraction(1, 3)] * 3] * 3)
         audit = dp_audit(m, build_clique(3))
         assert audit.eps_star == 0.0
         assert audit.max_ratio == 1
@@ -449,7 +459,7 @@ class TestDpAudit:
     def test_exact_comparison_at_zero_tolerance(self):
         m = optimal_mechanism(build_clique(4), HALF).matrix
         assert dp_audit(m, build_clique(4)).is_dp(HALF, tol=0)
-        tighter = PrivacyParameter.from_ratio(Fraction(51, 100))
+        tighter = PrivacyParameter(Fraction(51, 100))
         assert not dp_audit(m, build_clique(4)).is_dp(tighter, tol=0)
 
     def test_invariant_under_column_permutation(self):
@@ -484,7 +494,7 @@ class TestPosterior:
         assert float(success) == pytest.approx(0.2242, abs=5e-4)
 
     def test_constant_rows_leak_exactly_zero(self):
-        m = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 3)
+        m = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 3)
         prior = Prior((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
         assert leakage(prior, m) == 0.0
 
@@ -504,7 +514,7 @@ class TestCapacity:
         assert min_capacity(ChannelMatrix.identity(8)) == 3.0
 
     def test_constant_rows(self):
-        m = ChannelMatrix.constant_rows([Fraction(1, 2), Fraction(1, 2)], 4)
+        m = ChannelMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]] * 4)
         assert min_capacity(m) == 0.0
 
     def test_synthesised_clique_matrix(self):
@@ -532,7 +542,7 @@ class TestDistanceRatioAudit:
     def test_chained_scan_agrees_with_the_zero_tolerance_edge_audit(self, g):
         rng = random.Random(f"chained-{g.n}-{len(g.edge_list)}")
         kinds = set()
-        for pp in (HALF, PrivacyParameter.from_ratio(Fraction(1, 3))):
+        for pp in (HALF, PrivacyParameter(Fraction(1, 3))):
             channels = list(random_dp_sample(g, pp, 6, seed=rng.randrange(10 ** 6)))
             for low in (1, 0):   # positive weights break ratios, zero weights break support
                 for _ in range(12):
@@ -556,9 +566,9 @@ class TestDistanceRatioAudit:
         c = Fraction(8, 21)
         for i in range(6):
             for j in range(6):
-                assert m.entry(i, j) == c * Fraction(1, 2) ** dm.d(i, j)
+                assert m.entry(i, j) == c * Fraction(1, 2) ** dm.dist[i][j]
                 # the constraint towards the diagonal is an equality
-                assert m.entry(j, j) == m.entry(i, j) * Fraction(2) ** dm.d(i, j)
+                assert m.entry(j, j) == m.entry(i, j) * Fraction(2) ** dm.dist[i][j]
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,7 +45,7 @@ from dpchannel import cli, graphs, oracle
 from dpchannel.cli import _write_json, build_parser, main
 from test_channels import certified_graphs
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
+HALF = PrivacyParameter(Fraction(1, 2))
 
 
 @pytest.fixture
@@ -750,7 +750,7 @@ class TestOracleCommand:
         assert main(["oracle", "--family", "path:1", "--ratio", "2/3",
                      "--method", "hillclimb", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["best_utility"] == "1/1"
+        assert payload["best_utility"] == payload["utility_bound"] == "1"
         assert payload["trials"] == 0
 
     def test_results_past_the_int_conversion_limit_print_in_full(self, capsys):

@@ -17,9 +17,7 @@ import pytest
 
 from dpchannel import (
     ChannelMatrix,
-    GainFunction,
     Graph,
-    GuessStrategy,
     PrivacyParameter,
     Prior,
     build_family,
@@ -33,7 +31,7 @@ from dpchannel import (
 )
 from dpchannel.cli import main
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
+HALF = PrivacyParameter(Fraction(1, 2))
 EPS07 = PrivacyParameter.from_epsilon(0.7)
 # circulant C12(1, 2): vertex-transitive, not distance-regular
 C12 = Graph(12, {(i, (i + d) % 12) for i in range(12) for d in (1, 2)})
@@ -51,9 +49,9 @@ def seeded_utility_cases(spec, pp):
     rng = random.Random(3)
     for matrix in random_dp_sample(build_family(spec), pp, 2, seed=9):
         n = matrix.rows
-        table = GainFunction.from_table(
-            [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
-        guess = GuessStrategy.from_map([rng.randrange(n) for _ in range(matrix.cols)])
+        table = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+        guess = [rng.randrange(n) for _ in range(matrix.cols)]
         weights = [rng.randint(1, 5) for _ in range(n)]
         prior = Prior(tuple(Fraction(w, sum(weights)) for w in weights))
         yield matrix, prior, table, guess
@@ -189,7 +187,7 @@ class TestSamplerBuildsIntegerRows:
         graphs = [build_family(spec) for spec in (
             "clique:3", "cycle:5", "path:4", "petersen", "hamming:2,3", "hamming:3,2")]
         graphs += [C12, Graph(5, {(0, 1), (2, 3), (3, 4)}), Graph(1, set())]
-        levels = [PrivacyParameter.from_ratio(r) for r in
+        levels = [PrivacyParameter(r) for r in
                   (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), 1)] + [EPS07]
         digest = hashlib.sha256()
         for graph in graphs:

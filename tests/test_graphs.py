@@ -109,7 +109,7 @@ class TestRefusals:
     ])
     def test_distance_profile(self, counts, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            DistanceProfile(0, counts)
+            DistanceProfile(counts)
 
     @pytest.mark.parametrize("b, c, message", [
         ((3, 2), (1,), "b and c must cover the same distance range"),
@@ -184,9 +184,10 @@ class TestConstructors:
         assert max(reach.values()) == 2
 
     def test_hamming_size_cap(self):
-        with pytest.raises(SizeCapError):
-            build_hamming(13, 2)
-        assert build_hamming(13, 2, size_cap=10_000).n == 8192
+        message = r"^hamming\(13,2\) has 8192 vertices, above the cap of 4096$"
+        with pytest.raises(SizeCapError, match=message):
+            build_family("hamming:13,2")
+        assert build_family("hamming:13,2", size_cap=10_000).n == 8192
 
     @pytest.mark.parametrize("spec", ["clique:11", "cycle:11", "path:11", "petersen"])
     def test_sized_families_respect_the_cap(self, spec):
@@ -197,10 +198,13 @@ class TestConstructors:
             build_family(spec, size_cap=n - 1)
         assert build_family(spec, size_cap=n).n == n
 
-    @pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (-1, 3)])
+    @pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (-1, 3), (2, -100)])
     def test_hamming_argument_errors(self, u, v):
         with pytest.raises(ValueError):
             build_hamming(u, v)
+        # build_family checks the cap only on arguments build_hamming accepts
+        with pytest.raises(ValueError, match="^need at least"):
+            build_family(f"hamming:{u},{v}", size_cap=0)
 
     def test_clique_6(self):
         g = build_clique(6)
@@ -263,10 +267,10 @@ class TestConstructors:
 class TestDistances:
     def test_hamming_distance_is_graph_distance(self):
         g = build_hamming(3, 2)
-        assert distances(g).d(0, 7) == 3  # 000 vs 111
+        assert distances(g).dist[0][7] == 3  # 000 vs 111
 
     def test_cycle_antipodal(self):
-        assert distances(build_cycle(6)).d(0, 3) == 3
+        assert distances(build_cycle(6)).dist[0][3] == 3
 
     @pytest.mark.parametrize("g", [
         build_hamming(2, 3), build_cycle(5), build_petersen(), STAR_K13,
@@ -274,12 +278,12 @@ class TestDistances:
     def test_symmetric_zero_diagonal_lipschitz(self, g):
         dm = distances(g)
         for i in range(g.n):
-            assert dm.d(i, i) == 0
+            assert dm.dist[i][i] == 0
             for j in range(g.n):
-                assert dm.d(i, j) == dm.d(j, i)
+                assert dm.dist[i][j] == dm.dist[j][i]
         for i, h in g.edge_list:
             for j in range(g.n):
-                assert abs(dm.d(i, j) - dm.d(h, j)) <= 1
+                assert abs(dm.dist[i][j] - dm.dist[h][j]) <= 1
 
     @pytest.mark.parametrize("g", [
         build_hamming(2, 3), build_path(4), build_petersen(), STAR_K13,
@@ -304,12 +308,12 @@ class TestDistances:
             for d in reach[s].values():
                 expected[d] += 1
             assert g.profile_counts[s] == tuple(expected)
-            assert distance_profile(g, s).counts == tuple(expected)
+        assert distance_profile(g).counts == g.profile_counts[0]
 
     def test_disconnected_sentinels(self):
         g = Graph(4, {(0, 1), (2, 3)})
         dm = distances(g)
-        assert dm.d(0, 2) == UNREACHABLE
+        assert dm.dist[0][2] == UNREACHABLE
         assert not g.is_connected
         assert dm.diameter == 1
         with pytest.raises(DisconnectedGraphError):
@@ -322,7 +326,7 @@ class TestProfiles:
     def test_square_profile(self):
         g = build_hamming(2, 2)
         for base in range(4):
-            assert distance_profile(g, base).counts == (1, 2, 1)
+            assert g.profile_counts[base] == (1, 2, 1)
 
     @pytest.mark.parametrize("u, v", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
     def test_hamming_profile_is_binomial(self, u, v):
@@ -331,7 +335,7 @@ class TestProfiles:
         g = build_hamming(u, v)
         expected = tuple(comb(u, d) * (v - 1) ** d for d in range(u + 1))
         for base in range(g.n):
-            assert distance_profile(g, base).counts == expected
+            assert g.profile_counts[base] == expected
 
     def test_clique_profile(self):
         assert distance_profile(build_clique(6)).counts == (1, 5)
@@ -356,9 +360,9 @@ class TestDistanceRegularity:
         dm = distances(g)
         for x in range(g.n):
             for y in range(g.n):
-                i = dm.d(x, y)
-                closer = sum(1 for z in g.adjacency[y] if dm.d(x, z) == i - 1)
-                further = sum(1 for z in g.adjacency[y] if dm.d(x, z) == i + 1)
+                i = dm.dist[x][y]
+                closer = sum(1 for z in g.adjacency[y] if dm.dist[x][z] == i - 1)
+                further = sum(1 for z in g.adjacency[y] if dm.dist[x][z] == i + 1)
                 if i >= 1:
                     assert closer == array.c[i - 1]
                 if i < dm.diameter:

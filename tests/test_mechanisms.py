@@ -11,9 +11,7 @@ from dpchannel import (
     BaseDependentProfileError,
     ChannelMatrix,
     DisconnectedGraphError,
-    GainFunction,
     Graph,
-    GuessStrategy,
     MechanismBundle,
     PrivacyParameter,
     Prior,
@@ -29,12 +27,10 @@ from dpchannel import (
     f_map_from_csv,
     hamming_leakage_bound,
     individual_leakage_bound,
-    is_distance_regular,
     leakage,
     optimal_mechanism,
     posterior_success,
     symmetrize_distance_regular,
-    tight_leakage_matrix,
     to_diagonal_form,
     truncated_geometric_fixture,
     utility,
@@ -43,8 +39,8 @@ from dpchannel import (
 
 from chained_audit import distance_ratio_audit
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
-ONE = PrivacyParameter.from_ratio(1)
+HALF = PrivacyParameter(Fraction(1, 2))
+ONE = PrivacyParameter(1)
 
 NONUNIFORM_CITY_PRIOR = Prior((Fraction(1, 10), Fraction(1, 5), Fraction(1, 5),
                                Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
@@ -89,7 +85,7 @@ class TestOptimalMechanism:
         g = build_hamming(2, 2)
         m = optimal_mechanism(g, HALF).matrix
         cf = to_diagonal_form(m, g)
-        out = symmetrize_distance_regular(cf, g, is_distance_regular(g))
+        out = symmetrize_distance_regular(cf, g)
         assert out.matrix.entries == m.entries
 
     def test_refuses_base_dependent_profiles_with_a_diagnostic(self):
@@ -168,13 +164,13 @@ class TestCarriedKernel:
 
 class TestTightLeakageMatrix:
     def test_square_domain_rows(self):
-        m = tight_leakage_matrix(build_hamming(2, 2), HALF)
+        m = optimal_mechanism(build_hamming(2, 2), HALF).matrix
         assert m.entries[0] == (Fraction(4, 9), Fraction(2, 9),
                                 Fraction(2, 9), Fraction(1, 9))
 
     def test_attains_the_domain_leakage_bound_exactly(self):
         g = build_hamming(2, 2)
-        m = tight_leakage_matrix(g, HALF)
+        m = optimal_mechanism(g, HALF).matrix
         bound = hamming_leakage_bound(2, 2, HALF)
         success = posterior_success(Prior.uniform(4), m)
         # exact form of attainment: success / (1/n) == v^u / core
@@ -184,24 +180,24 @@ class TestTightLeakageMatrix:
     def test_value_clique_attains_the_individual_bound(self):
         for v in range(2, 7):
             g = build_clique(v)
-            m = tight_leakage_matrix(g, HALF)
+            m = optimal_mechanism(g, HALF).matrix
             bound = individual_leakage_bound(v, HALF)
             success = posterior_success(Prior.uniform(v), m)
             assert success * v == Fraction(v) / bound.exact_core
             assert leakage(Prior.uniform(v), m) == pytest.approx(bound.bits, abs=1e-12)
 
     def test_no_privacy_means_no_leakage(self):
-        m = tight_leakage_matrix(build_hamming(2, 2), ONE)
+        m = optimal_mechanism(build_hamming(2, 2), ONE).matrix
         assert leakage(Prior.uniform(4), m) == 0.0
 
     def test_distance_ratio_pinning(self):
         g = build_cycle(6)
-        m = tight_leakage_matrix(g, HALF)
+        m = optimal_mechanism(g, HALF).matrix
         assert distance_ratio_audit(m, g, HALF).ok
         dm = distances(g)
         for i in range(6):
             for j in range(6):
-                assert m.entry(j, j) == m.entry(i, j) * Fraction(2) ** dm.d(i, j)
+                assert m.entry(j, j) == m.entry(i, j) * Fraction(2) ** dm.dist[i][j]
 
 
 class TestUtility:
@@ -232,7 +228,7 @@ class TestUtility:
         g = build_cycle(3)
         m = optimal_mechanism(g, HALF).matrix
         prior = Prior((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-        best = max(utility(prior, m, GainFunction.binary(), GuessStrategy.from_map(mapping))
+        best = max(utility(prior, m, guess=mapping)
                    for mapping in itertools.product(range(3), repeat=3))
         assert utility(prior, m) == best
 
@@ -240,56 +236,40 @@ class TestUtility:
         m = optimal_mechanism(build_clique(3), HALF).matrix
         prior = Prior.uniform(3)
         eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        table = GainFunction.from_table(eye)
-        assert utility(prior, m, table) == utility(prior, m)
-        mapping = GuessStrategy.from_map((0, 1, 2))
-        assert utility(prior, m, table, mapping) == utility(prior, m, None, mapping)
+        assert utility(prior, m, eye) == utility(prior, m)
+        assert utility(prior, m, eye, (0, 1, 2)) == utility(prior, m, None, (0, 1, 2))
 
     def test_weighted_table_changes_the_best_guess(self):
         m = ChannelMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)],
                                      [Fraction(1, 2), Fraction(1, 2)]])
         prior = Prior((Fraction(3, 4), Fraction(1, 4)))
         # huge reward for recovering the rare answer flips the optimal guess
-        table = GainFunction.from_table([[1, 0], [0, 100]])
-        value = utility(prior, m, table)
+        value = utility(prior, m, [[1, 0], [0, 100]])
         assert value == Fraction(25)
 
     def test_non_total_guess_map_is_rejected(self):
         m = optimal_mechanism(build_clique(3), HALF).matrix
         with pytest.raises(ValueError):
-            utility(Prior.uniform(3), m, GainFunction.binary(), GuessStrategy.from_map((0, 1)))
+            utility(Prior.uniform(3), m, guess=(0, 1))
         with pytest.raises(ValueError):
-            utility(Prior.uniform(3), m, GainFunction.binary(),
-                    GuessStrategy.from_map((0, 1, 7)))
+            utility(Prior.uniform(3), m, guess=(0, 1, 7))
 
 
 class TestUtilityRefusals:
-    """Each refusal of ``GainFunction`` and ``utility``, with its message."""
-
-    @pytest.mark.parametrize("kind, table, message", [
-        ("zero-one", None, "unknown gain kind 'zero-one'"),
-        ("binary", ((1,),), "a gain table is attached exactly to the table kind"),
-        ("table", None, "a gain table is attached exactly to the table kind"),
-        ("table", ((1, 0), (0,)), "gain table must be square"),
-        ("table", ((1, 0, 0), (0, 1, 0)), "gain table must be square"),
-    ])
-    def test_gain_function(self, kind, table, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            GainFunction(kind, table)
+    """Each refusal of ``utility``, with its message."""
 
     @pytest.mark.parametrize("prior, gain, guess, message", [
         (Prior.uniform(2), None, None, "prior length must match the matrix rows"),
-        (Prior.uniform(3), GainFunction.from_table([[1, 0], [0, 1]]), None,
+        (Prior.uniform(3), [[1, 0], [0, 1]], None,
          "gain table must be indexed by the answer set"),
-        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2]),
-         "guess map must be total over the output set"),
-        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2, 3]),
-         "guess map targets unknown answers"),
-        (Prior.uniform(3), None, GuessStrategy.from_map([0, 1, 2, -1]),
-         "guess map targets unknown answers"),
+        (Prior.uniform(3), None, [0, 1, 2], "guess map must be total over the output set"),
+        (Prior.uniform(3), None, [0, 1, 2, 3], "guess map targets unknown answers"),
+        (Prior.uniform(3), None, [0, 1, 2, -1], "guess map targets unknown answers"),
+        (Prior.uniform(3), [[1, 0], [0]], None, "gain table must be square"),
+        (Prior.uniform(3), [[1, 0, 0], [0, 1, 0]], None, "gain table must be square"),
     ])
     def test_utility(self, prior, gain, guess, message):
-        matrix = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 3)
+        matrix = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 3)
         with pytest.raises(ValueError, match=f"^{message}$"):
             utility(prior, matrix, gain, guess)
 
@@ -349,6 +329,13 @@ class TestComposeOblivious:
         assert f == (0, 1, 1, 0)
         with pytest.raises(ValueError):
             f_map_from_csv("00,even\n", ("00", "01"), ("even", "odd"))
+
+    def test_f_map_csv_keeps_labels_verbatim(self):
+        secrets, answers = (" lead", "trail ", "end\r"), ("a,b", " odd")
+        text = '" lead", odd\ntrail , odd\n"end\r","a,b"\n'
+        assert f_map_from_csv(text, secrets, answers) == (1, 1, 0)
+        with pytest.raises(ValueError, match="^unknown answer label ' odd'$"):
+            f_map_from_csv(text, secrets, ("odd",))
 
     def test_f_map_csv_skips_blank_lines(self):
         text = "\n00,even\n , \n\n01,odd\n"

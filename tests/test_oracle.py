@@ -31,9 +31,9 @@ from dpchannel import (
 
 from chained_audit import distance_ratio_audit
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
-THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
-ONE = PrivacyParameter.from_ratio(1)
+HALF = PrivacyParameter(Fraction(1, 2))
+THIRD = PrivacyParameter(Fraction(1, 3))
+ONE = PrivacyParameter(1)
 
 
 class TestGridSearch:
@@ -107,7 +107,7 @@ class TestHillclimb:
 
     def test_climbs_from_a_uniform_start(self):
         g = build_clique(2)
-        start = ChannelMatrix.constant_rows([Fraction(1, 2)] * 2, 2)
+        start = ChannelMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)
         report = hillclimb_utility(g, HALF, iters=4000, seed=7, start=start)
         assert Fraction(1, 2) < report.best_utility <= Fraction(2, 3)
         audit = dp_audit(report.best_matrix, g)
@@ -130,13 +130,13 @@ class TestHillclimb:
 
     def test_falls_back_to_uniform_start_on_a_disconnected_graph(self):
         g = Graph(4, {(0, 1), (2, 3)})
-        uniform = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
+        uniform = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 4)
         report = hillclimb_utility(g, HALF, iters=300, seed=0)
         assert report == hillclimb_utility(g, HALF, iters=300, seed=0, start=uniform)
         assert report.best_utility >= Fraction(1, 4)
 
     def test_one_column_start_is_returned_without_moves(self):
-        report = hillclimb_utility(build_family("path:1"), PrivacyParameter.from_ratio(
+        report = hillclimb_utility(build_family("path:1"), PrivacyParameter(
             Fraction(2, 3)), iters=50, seed=0)
         assert report.best_utility == 1
         assert report.trials == 0
@@ -147,12 +147,12 @@ class TestHillclimb:
     # must not change.
     @pytest.mark.parametrize("graph, kwargs, digest", [
         ("clique:2", {"iters": 4000, "seed": 7,
-                      "start": ChannelMatrix.constant_rows([Fraction(1, 2)] * 2, 2)},
+                      "start": ChannelMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)},
          "3ae58307227da5e7a7d3d98fef933b84113f4f9118c946c433823ee63556919e"),
         ("path:4", {"iters": 3000, "seed": 4},
          "3432dcbb8637517b8afb7caec34c1077054b7780d41a507213b8ee01e4b585be"),
         ("cycle:5", {"iters": 1000, "seed": 2,
-                     "start": ChannelMatrix.constant_rows([Fraction(1, 6)] * 6, 5)},
+                     "start": ChannelMatrix.from_rows([[Fraction(1, 6)] * 6] * 5)},
          "5c066faac4744178b7d87abd3ae6471b8a076eab62d91900bd977bd172fcb00b"),
     ], ids=["clique2-uniform", "path4-fallback", "cycle5-six-columns"])
     def test_seeded_reports_are_pinned(self, graph, kwargs, digest):
@@ -265,7 +265,7 @@ class TestGridAgainstIndependentEnumeration:
 GRID_GRAPHS = [Graph(3, set(edges)) for k in range(4)
                for edges in itertools.combinations(((0, 1), (0, 2), (1, 2)), k)]
 GRID_GRAPHS += [build_family("path:1"), build_family("clique:2")]
-RATIOS = [PrivacyParameter.from_ratio(Fraction(r)) for r in ("1", "1/2", "2/3", "1/3", "7/19")]
+RATIOS = [PrivacyParameter(Fraction(r)) for r in ("1", "1/2", "2/3", "1/3", "7/19")]
 # search-small's oracle domains, then the starts the synthesiser does not give:
 # a disconnected graph and path:3 start uniform, and cycle:5 starts with n + 2
 # columns.  clique:2 draws its second column from a range of one.
@@ -273,7 +273,7 @@ HILLCLIMB_CASES = [(build_family(spec), None) for spec in (
     "petersen", "cycle:6", "cycle:8", "clique:3", "clique:4", "hamming:2,3", "hamming:3,2",
     "path:3", "clique:2")]
 HILLCLIMB_CASES += [(Graph(4, {(0, 1), (2, 3)}), None),
-                    (build_cycle(5), ChannelMatrix.constant_rows([Fraction(1, 7)] * 7, 5))]
+                    (build_cycle(5), ChannelMatrix.from_rows([[Fraction(1, 7)] * 7] * 5))]
 
 
 class TestSearchesMatchTheirReferences:

@@ -33,8 +33,8 @@ from dpchannel import (
 )
 from dpchannel import graphs, transforms
 
-HALF = PrivacyParameter.from_ratio(Fraction(1, 2))
-THIRD = PrivacyParameter.from_ratio(Fraction(1, 3))
+HALF = PrivacyParameter(Fraction(1, 2))
+THIRD = PrivacyParameter(Fraction(1, 3))
 
 
 def ratio_not_worse(before, after):
@@ -70,7 +70,7 @@ class TestDiagonalForm:
 
     def test_constant_rows_merge_into_first_column(self):
         g = build_clique(4)
-        m = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
+        m = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 4)
         cf = to_diagonal_form(m, g)
         assert cf.matrix.column(0) == (Fraction(1),) * 4
         assert posterior_success(Prior.uniform(4), cf.matrix) == Fraction(1, 4)
@@ -83,7 +83,7 @@ class TestDiagonalForm:
 
     def test_tie_breaks_to_lowest_row(self):
         g = build_clique(2)
-        m = ChannelMatrix.constant_rows([Fraction(1, 2), Fraction(1, 2)], 2)
+        m = ChannelMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]] * 2)
         cf = to_diagonal_form(m, g)
         assert cf.merge_map == (0, 0)
 
@@ -93,14 +93,14 @@ class TestSymmetrizeFixedPoints:
         g = build_clique(3)
         m = optimal_mechanism(g, HALF).matrix
         cf = CanonicalForm(m, "diagonal")
-        out = symmetrize_distance_regular(cf, g, is_distance_regular(g))
+        out = symmetrize_distance_regular(cf, g)
         assert out.matrix.entries == m.entries
 
     def test_constant_diagonal_form_is_unchanged_on_triangle(self):
         g = build_clique(3)
-        m = ChannelMatrix.constant_rows([Fraction(1, 3)] * 3, 3)
+        m = ChannelMatrix.from_rows([[Fraction(1, 3)] * 3] * 3)
         cf = CanonicalForm(m, "diagonal")
-        out = symmetrize_distance_regular(cf, g, is_distance_regular(g))
+        out = symmetrize_distance_regular(cf, g)
         assert out.matrix.entries == m.entries
 
     def test_rotation_averaging_mixes_the_diagonal(self):
@@ -130,33 +130,25 @@ class TestSymmetrizeErrors:
         g = build_clique(3)
         cf = canonicalize(optimal_mechanism(g, HALF).matrix, g)
         with pytest.raises(ValueError):
-            symmetrize_distance_regular(cf, g, is_distance_regular(g))
+            symmetrize_distance_regular(cf, g)
 
     def test_not_distance_regular(self):
         g = build_path(4)
-        m = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
+        m = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 4)
         cf = to_diagonal_form(m, g)
         with pytest.raises(ValueError):
-            symmetrize_distance_regular(cf, g, is_distance_regular(build_cycle(4)))
-
-    def test_mismatched_intersection_array(self):
-        g = build_clique(3)
-        m = ChannelMatrix.constant_rows([Fraction(1, 3)] * 3, 3)
-        cf = to_diagonal_form(m, g)
-        wrong = is_distance_regular(build_clique(2))
-        with pytest.raises(ValueError):
-            symmetrize_distance_regular(cf, g, wrong)
+            symmetrize_distance_regular(cf, g)
 
     def test_invalid_family(self):
         g = build_cycle(4)
-        m = ChannelMatrix.constant_rows([Fraction(1, 4)] * 4, 4)
+        m = ChannelMatrix.from_rows([[Fraction(1, 4)] * 4] * 4)
         cf = to_diagonal_form(m, g)
         with pytest.raises(ValueError):
             symmetrize_vt_plus(cf, g, AutomorphismFamily(((0, 1, 2, 3),) * 4))
 
     def test_canonicalize_requires_symmetry(self):
         g = build_path(3)
-        m = ChannelMatrix.constant_rows([Fraction(1, 3)] * 3, 3)
+        m = ChannelMatrix.from_rows([[Fraction(1, 3)] * 3] * 3)
         with pytest.raises(SymmetryRequiredError):
             canonicalize(m, g)
 
@@ -236,11 +228,8 @@ class TestCertifiesOnce:
     def test_public_steps_still_verify_what_they_are_handed(self, calls):
         # the graph's own family was verified when it was recorded; an equal
         # family that is another object is verified again
-        petersen, pentagon, cycle = build_family("petersen"), build_cycle(5), build_cycle(6)
-        calls["verify_family"] = 0              # the builders verify what they record
-        cf = to_diagonal_form(ChannelMatrix.identity(10), petersen)
-        with pytest.raises(ValueError, match="^intersection array does not match the graph$"):
-            symmetrize_distance_regular(cf, petersen, is_distance_regular(pentagon))
+        cycle = build_cycle(6)
+        calls["verify_family"] = 0              # the builder verifies what it records
         own = cycle.certified_family
         other = AutomorphismFamily(generators=own.generators, orders=own.orders)
         cf = to_diagonal_form(ChannelMatrix.identity(6), cycle)
@@ -263,7 +252,7 @@ class TestCertifiesOnce:
         g = build_family("petersen")
         out = canonicalize(ChannelMatrix.identity(10), g)
         cf = to_diagonal_form(ChannelMatrix.identity(10), g)
-        assert symmetrize_distance_regular(cf, g, is_distance_regular(g)) == out
+        assert symmetrize_distance_regular(cf, g) == out
         assert out.symmetry == "distance_regular"
         assert counted == [g]
 
@@ -286,7 +275,7 @@ class TestPipelineProperties:
             assert ratio_not_worse(before, mid)
             assert posterior_success(uniform, matrix) == posterior_success(uniform, cf.matrix)
 
-            out = symmetrize_distance_regular(cf, g, is_distance_regular(g))
+            out = symmetrize_distance_regular(cf, g)
             after = dp_audit(out.matrix, g)
             assert ratio_not_worse(mid, after)
             assert posterior_success(uniform, matrix) == posterior_success(uniform, out.matrix)
@@ -311,7 +300,7 @@ class TestPipelineProperties:
             cf = to_diagonal_form(matrix, g)
             diag_mean = sum((cf.matrix.entry(v, v) for v in range(g.n)),
                             Fraction(0)) / g.n
-            out = symmetrize_distance_regular(cf, g, is_distance_regular(g))
+            out = symmetrize_distance_regular(cf, g)
             m = out.matrix
             # equal diagonal = the mean of the previous diagonal = global max
             assert all(m.entry(i, i) == diag_mean for i in range(g.n))
@@ -323,18 +312,16 @@ class TestPipelineProperties:
             for i in range(g.n):
                 for j in range(g.n):
                     assert m.entry(i, j) == m.entry(0, [v for v in range(g.n)
-                                                        if dm.d(0, v) == dm.d(i, j)][0])
+                                                        if dm.dist[0][v] == dm.dist[i][j]][0])
             # uniform success equals the global maximum
             assert posterior_success(Prior.uniform(g.n), m) == diag_mean
 
     @pytest.mark.parametrize("spec", ["clique:6", "petersen"])
     def test_class_averaging_is_idempotent(self, spec):
         g = build_family(spec)
-        array = is_distance_regular(g)
         for matrix in random_dp_sample(g, HALF, 3, seed=23):
-            once = symmetrize_distance_regular(to_diagonal_form(matrix, g), g, array)
-            again = symmetrize_distance_regular(
-                CanonicalForm(once.matrix, "diagonal"), g, array)
+            once = symmetrize_distance_regular(to_diagonal_form(matrix, g), g)
+            again = symmetrize_distance_regular(CanonicalForm(once.matrix, "diagonal"), g)
             assert once.matrix.entries == again.matrix.entries
 
     def test_a_clique_product_averages_over_its_recognised_translations(self):
