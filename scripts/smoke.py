@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Stdlib-only smoke check: run the demos, pin seven synth reports, one
-analyze and one transform report, two oracle reports and two graph reports,
+analyze and one transform report, four oracle reports and two graph reports,
 and certify one relabelled Hamming graph.
 
     python scripts/smoke.py
@@ -21,7 +21,10 @@ read from a file is checked for invariance before the vertex-0 audit),
 (its symmetric form is not carried, so its matrix block is spelt row by
 row), ``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
 with a seeded ``--method hillclimb`` on path:5 (whose uniform start climbs,
-so the report depends on every draw the hillclimb makes from its seed),
+so the report depends on every draw the hillclimb makes from its seed) and
+a seeded ``--method random`` on petersen at 2/3 and on cycle:9 at a 54-bit
+ratio (the sampled channels, each blended toward the uniform channel by its
+exact contraction weight),
 ``dpchannel graph --family petersen`` as JSON (its flat lists spelt by
 ``json``) and as text (read off the same payload), and ``dpchannel graph
 --graph-file`` and ``dpchannel synth --graph-file --ratio 1/2 --format
@@ -75,6 +78,12 @@ ORACLE_SHA256 = {
         "7cceb908fd81ea5f2c07a9741a795e181e6b6a63cb45b53f642e573df9048a13",
     ("--family", "path:5", "--ratio", "1/2", "--method", "hillclimb", "--seed", "3"):
         "9a0a426d01e7bdec909bc7239a06fb064c99cf8ba740c67e796307e76c2ca608",
+    ("--family", "petersen", "--ratio", "2/3", "--method", "random", "--seed", "5"):
+        "0cf4ad6089c86e3123c41820976f84ae5d0580a7fef424c02806dfba57822780",
+    # a literal 54-bit ratio, e^-0.7 as a double, so the pin does not hang on --epsilon
+    ("--family", "cycle:9", "--ratio", "4472842778225313/9007199254740992", "--method",
+     "random", "--count", "5", "--seed", "2"):
+        "3a51bfaef243b925d58ded0fa0fcc40ed79b76a24969c9f6fa6be5c0c4faad15",
 }
 TRANSFORM_SHA256 = "f8dcd97fe67be579517ff4b3851dfb648375cad4b045436b423e08bbc04d316d"
 GRAPH_SHA256 = {

@@ -475,9 +475,13 @@ def build_family(spec, size_cap=DEFAULT_SIZE_CAP):
             u, v = (int(x) for x in arg.split(","))
         except ValueError:
             raise ValueError(f"malformed graph family spec {spec!r}") from None
-        if u >= 1 and v >= 2 and v ** u > size_cap:     # build_hamming refuses the rest
-            raise SizeCapError(
-                f"hamming({u},{v}) has {v ** u} vertices, above the cap of {size_cap}")
+        count = 1
+        for _ in range(u if v >= 2 else 0):     # build_hamming refuses u < 1 and v < 2
+            count *= v                          # stops past the cap, short of v ** u
+            if count > size_cap:                # in full to 2^2048: 617 digits, in any str() limit
+                vertices = v ** u if u * (v - 1).bit_length() <= 2048 else f"{v}^{u}"
+                raise SizeCapError(
+                    f"hamming({u},{v}) has {vertices} vertices, above the cap of {size_cap}")
         return build_hamming(u, v)
     raise ValueError(f"unknown graph family {name!r}")
 

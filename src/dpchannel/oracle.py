@@ -155,7 +155,11 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     ``start`` defaults to the synthesised optimum, falling back to the
     uniform channel on graphs the synthesiser refuses (base-dependent or
     disconnected).  A one-column start has no move and is returned as is,
-    with zero trials.
+    with zero trials.  A negative ``iters`` is refused.
+
+    A proposal is judged by a few integer comparisons: for r = p/q, cell (h, c)
+    keeps p·max and q·min of column c over h's neighbours (made on first use)
+    and each column its maximum and runner-up; an accepted move renews those.
 
     Each step draws its row, its two columns and its transfer of 1 to 16
     units from ``random.Random(seed).getrandbits``, as ``randrange(n)``,
@@ -165,6 +169,8 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     seed alone.
     """
     n = graph.n
+    if iters < 0:
+        raise ValueError("iters must be non-negative")
     if start is None:
         try:
             start = optimal_mechanism(graph, pp).matrix
@@ -176,18 +182,27 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     m = start.cols
     rows, den = start.scaled_rows()
     entries = [[256 * x for x in row] for row in rows]     # over 256 * den; steps are k/256
-    colmax = [max(col) for col in zip(*entries)]
-    best_success = success = sum(colmax)
-    best_entries = [row.copy() for row in entries]
     adj = graph.adjacency
     p, q = pp.r.numerator, pp.r.denominator
 
-    def feasible(i, j, value):
-        for h in adj[i]:
-            other = entries[h][j]
-            if p * value > q * other or p * other > q * value:
-                return False
-        return True
+    def column_top(col):
+        # the column's maximum and, one row holding it set aside, the largest
+        # left; the 0 stands in for that runner-up in a one-row column
+        runner_up, top = sorted((0, *col))[-2:]
+        return top, runner_up
+
+    def cell_bounds(h, c):
+        # x may sit at (h, c) iff low <= q·x and p·x <= high.  Made on first use,
+        # cleared when a neighbour moves: no step scans more than a plain test would.
+        # A vertex without neighbours gets bounds no cell reaches past its row sum.
+        col = [entries[g][c] for g in adj[h]]
+        bounds[h][c] = pair = (p * max(col, default=0), q * min(col, default=256 * den))
+        return pair
+
+    tops = [column_top(col) for col in zip(*entries)]
+    bounds = [[None] * m for _ in range(n)]
+    best_success = success = sum(top for top, _ in tops)
+    best_entries = [row.copy() for row in entries]
 
     steps = iters if m > 1 else 0   # one column admits no transfer
     draw = rng.getrandbits
@@ -210,22 +225,27 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
         while units >= 16:
             units = draw(5)
         delta = (units + 1) * den
-        if entries[i][j] < delta:
+        row_i = entries[i]
+        if row_i[j] < delta:
             continue
-        new_j = entries[i][j] - delta
-        new_k = entries[i][k] + delta
-        if not (feasible(i, j, new_j) and feasible(i, k, new_k)):
+        old_j, new_j, new_k = row_i[j], row_i[j] - delta, row_i[k] + delta
+        # both sides in both columns: a caller's start may be infeasible
+        low_j, high_j = bounds[i][j] or cell_bounds(i, j)
+        low_k, high_k = bounds[i][k] or cell_bounds(i, k)
+        if not (low_j <= q * new_j and p * new_j <= high_j
+                and low_k <= q * new_k and p * new_k <= high_k):
             continue
-        reduced_j = max([new_j] + [entries[h][j] for h in range(n) if h != i])
-        reduced_k = max([new_k] + [entries[h][k] for h in range(n) if h != i])
-        new_success = success - colmax[j] - colmax[k] + reduced_j + reduced_k
-        if new_success < success:
+        # column k only gained; column j keeps its maximum unless row i held it
+        (top_j, runner_up_j), (top_k, _) = tops[j], tops[k]
+        reduced_j = max(new_j, runner_up_j) if old_j == top_j else top_j
+        gain = reduced_j + max(new_k, top_k) - top_j - top_k
+        if gain < 0:
             continue
-        entries[i][j] = new_j
-        entries[i][k] = new_k
-        colmax[j] = reduced_j
-        colmax[k] = reduced_k
-        success = new_success
+        row_i[j], row_i[k] = new_j, new_k
+        tops[j], tops[k] = (column_top(row[c] for row in entries) for c in (j, k))
+        success += gain
+        for h in adj[i]:
+            bounds[h][j] = bounds[h][k] = None
         if success > best_success:
             best_success = success
             best_entries = [row.copy() for row in entries]
@@ -244,20 +264,19 @@ def _contraction_towards_uniform(rows, dens, graph, r, m):
     the max over violations fixes them all, with equality on the worst.
     Row i is ``rows[i]`` over ``dens[i]``; with r = p/q the weight of cell
     (x, y) is E·m / (E·m + (q−p)·D_a·D_b) for excess E = p·D_b·x − q·D_a·y.
+    The running maximum is kept as integers top/bottom, one ``Fraction`` at the end.
     """
     p, q = r.numerator, r.denominator
-    needed = Fraction(0)
+    top, bottom = 0, 1                  # the weight needed so far, top/bottom
     for i, h in graph.edge_list:
         for a, b in ((i, h), (h, i)):
             pb, qa = p * dens[b], q * dens[a]
             slack = (q - p) * dens[a] * dens[b]
             for x, y in zip(rows[a], rows[b]):
                 excess = (pb * x - qa * y) * m
-                if excess > 0:
-                    t = Fraction(excess, excess + slack)
-                    if t > needed:
-                        needed = t
-    return needed
+                if excess > 0 and excess * bottom > top * (excess + slack):
+                    top, bottom = excess, excess + slack
+    return Fraction(top, bottom)
 
 
 def random_dp_sample(graph, pp, count, seed):
@@ -271,8 +290,11 @@ def random_dp_sample(graph, pp, count, seed):
     the exact minimal amount that restores feasibility before being
     re-audited and emitted.  Every component receives at least one source
     so no row normalises to zero.  Output width varies between n and n+2
-    columns to exercise downstream column handling.
+    columns to exercise downstream column handling.  A negative ``count``
+    raises ``ValueError`` at the first ``next``, before anything is drawn.
     """
+    if count < 0:
+        raise ValueError("count must be non-negative")
     rng = random.Random(seed)
     n = graph.n
     dm = graph.distance_matrix

@@ -12,8 +12,14 @@ placement, in O(depth) steps per node, which is slow but easy to read.
 The two oracle searches, :func:`grid_search_optimal` and
 :func:`hillclimb_utility`, are the earlier ``dpchannel.oracle`` functions
 verbatim: the grid scores every feasible assignment at its leaf, and the
-hillclimb draws through ``randrange`` and ``randint``.  The library must
-return an equal ``SearchReport`` for every input.
+hillclimb draws through ``randrange`` and ``randint``, tests each move
+against every neighbour and scans whole columns for their maxima.  The
+library must return an equal ``SearchReport`` for every input.
+
+:func:`random_dp_sample` and its :func:`_contraction_towards_uniform` are
+the earlier sampler verbatim: it keeps the needed contraction weight as a
+``Fraction`` built for each violated cell.  The library must yield equal
+channels, in the same order, for every input.
 """
 
 import collections
@@ -30,9 +36,10 @@ from dpchannel import (
     SearchReport,
     SizeCapError,
     as_fraction,
+    dp_audit,
     optimal_mechanism,
 )
-from dpchannel.graphs import _refined_colors, _search_order
+from dpchannel.graphs import UNREACHABLE, _refined_colors, _search_order
 from dpchannel.oracle import GRID_VERTEX_CAP
 
 
@@ -312,3 +319,72 @@ def hillclimb_utility(graph, pp, iters=10_000, seed=0, start=None):
     matrix = ChannelMatrix(best_entries, start.row_labels, start.col_labels,
                            denominators=[256 * den] * n)
     return SearchReport("hillclimb", seed, steps, Fraction(best_success, 256 * den * n), matrix)
+
+
+def _contraction_towards_uniform(rows, dens, graph, r, m):
+    """Smallest blend with the uniform channel that restores feasibility.
+
+    The feasible set is a polytope containing the uniform channel in its
+    interior (for r < 1), so for every violated constraint
+    M[a][j] <= M[b][j]/r there is a minimal mixing weight that fixes it;
+    the max over violations fixes them all, with equality on the worst.
+    Row i is ``rows[i]`` over ``dens[i]``; with r = p/q the weight of cell
+    (x, y) is E·m / (E·m + (q−p)·D_a·D_b) for excess E = p·D_b·x − q·D_a·y.
+    """
+    p, q = r.numerator, r.denominator
+    needed = Fraction(0)
+    for i, h in graph.edge_list:
+        for a, b in ((i, h), (h, i)):
+            pb, qa = p * dens[b], q * dens[a]
+            slack = (q - p) * dens[a] * dens[b]
+            for x, y in zip(rows[a], rows[b]):
+                excess = (pb * x - qa * y) * m
+                if excess > 0:
+                    t = Fraction(excess, excess + slack)
+                    if t > needed:
+                        needed = t
+    return needed
+
+
+def random_dp_sample(graph, pp, count, seed):
+    """Stream ``count`` seeded random channels that pass the exact audit.
+
+    Construction: each column gets a random source vertex and a random
+    extra attenuation; entries start as r^(distance to source + shift),
+    which keeps every within-column adjacent log-ratio at most epsilon.
+    Row normalisation can disturb those ratios, so each candidate is
+    audit-checked and, when needed, blended toward the uniform channel by
+    the exact minimal amount that restores feasibility before being
+    re-audited and emitted.  Every component receives at least one source
+    so no row normalises to zero.  Output width varies between n and n+2
+    columns to exercise downstream column handling.
+    """
+    rng = random.Random(seed)
+    n = graph.n
+    dm = graph.distance_matrix
+    # each component's smallest vertex: no smaller vertex is reachable from it
+    reps = [v for v, row in enumerate(dm.dist) if row[:v].count(UNREACHABLE) == v]
+    r = pp.r
+    max_shift = 2
+    top = dm.diameter + max_shift
+    # r^k = p^k/q^k scaled by q^top; each integer row is over its own sum
+    powers = [r.numerator ** k * r.denominator ** (top - k) for k in range(top + 1)]
+
+    for _ in range(count):
+        m = n + rng.choice((0, 0, 1, 2))
+        sources = reps + [rng.randrange(n) for _ in range(m - len(reps))]
+        rng.shuffle(sources)
+        shifts = [rng.randrange(max_shift + 1) for _ in range(m)]
+        rows = [[0 if drow[s] == UNREACHABLE else powers[drow[s] + k]
+                 for s, k in zip(sources, shifts)] for drow in dm.dist]
+        dens = [sum(row) for row in rows]
+        t = _contraction_towards_uniform(rows, dens, graph, r, m)
+        if t > 0:
+            a, b = t.numerator, t.denominator
+            rows = [[(b - a) * m * x + a * den for x in row] for row, den in zip(rows, dens)]
+            dens = [b * m * den for den in dens]
+        matrix = ChannelMatrix(rows, denominators=dens)
+        audit = dp_audit(matrix, graph)
+        if audit.max_ratio is None or audit.max_ratio > pp.inv_ratio:
+            raise InternalError("sampler produced an infeasible channel, which cannot happen")
+        yield matrix

@@ -10,6 +10,7 @@ import itertools
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -249,6 +250,18 @@ class TestGraphFileSizeCap:
         assert captured.out == ""
         assert captured.err.startswith("usage: dpchannel graph ")
         assert "argument --size-cap:" in captured.err
+
+    @pytest.mark.parametrize("spec", ["hamming:5000,10", "hamming:100000000,10"])
+    def test_an_oversized_hamming_spec_is_refused_at_once(self, spec, capsys):
+        # V^U is neither computed nor printed: its digits pass str()'s limit
+        began = time.perf_counter()
+        assert main(["graph", "--family", spec]) == 1
+        assert time.perf_counter() - began < 1
+        u, v = spec[len("hamming:"):].split(",")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: hamming({u},{v}) has {v}^{u} vertices, above the cap of 4096\n")
 
     def test_petersen_above_the_cap_is_refused(self, capsys):
         assert main(["graph", "--family", "petersen", "--size-cap", "5"]) == 1

@@ -189,6 +189,12 @@ class TestConstructors:
             build_family("hamming:13,2")
         assert build_family("hamming:13,2", size_cap=10_000).n == 8192
 
+    def test_hamming_counts_up_to_2_to_the_2048_are_printed_in_full(self):
+        with pytest.raises(SizeCapError, match=rf"^hamming\(2048,2\) has {2 ** 2048} vertices"):
+            build_family("hamming:2048,2")
+        with pytest.raises(SizeCapError, match=r"^hamming\(2049,2\) has 2\^2049 vertices"):
+            build_family("hamming:2049,2")
+
     @pytest.mark.parametrize("spec", ["clique:11", "cycle:11", "path:11", "petersen"])
     def test_sized_families_respect_the_cap(self, spec):
         n = build_family(spec).n

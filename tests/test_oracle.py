@@ -135,6 +135,11 @@ class TestHillclimb:
         assert report == hillclimb_utility(g, HALF, iters=300, seed=0, start=uniform)
         assert report.best_utility >= Fraction(1, 4)
 
+    def test_a_negative_iteration_count_is_refused(self):
+        with pytest.raises(ValueError, match="^iters must be non-negative$"):
+            hillclimb_utility(build_clique(3), HALF, iters=-5)
+        assert hillclimb_utility(build_clique(3), HALF, iters=0).trials == 0
+
     def test_one_column_start_is_returned_without_moves(self):
         report = hillclimb_utility(build_family("path:1"), PrivacyParameter(
             Fraction(2, 3)), iters=50, seed=0)
@@ -182,6 +187,12 @@ class TestRandomSample:
         for matrix in random_dp_sample(g, ONE, 10, seed=4):
             assert len(set(matrix.entries)) == 1
             assert dp_audit(matrix, g).eps_star == 0.0
+
+    def test_a_negative_count_is_refused(self):
+        samples = random_dp_sample(build_cycle(5), HALF, -2, 0)
+        with pytest.raises(ValueError, match="^count must be non-negative$"):
+            next(samples)
+        assert list(random_dp_sample(build_cycle(5), HALF, 0, 0)) == []
 
     def test_deterministic_per_seed(self):
         g = build_cycle(5)
@@ -267,20 +278,31 @@ GRID_GRAPHS = [Graph(3, set(edges)) for k in range(4)
 GRID_GRAPHS += [build_family("path:1"), build_family("clique:2")]
 RATIOS = [PrivacyParameter(Fraction(r)) for r in ("1", "1/2", "2/3", "1/3", "7/19")]
 # search-small's oracle domains, then the starts the synthesiser does not give:
-# a disconnected graph and path:3 start uniform, and cycle:5 starts with n + 2
-# columns.  clique:2 draws its second column from a range of one.
+# a disconnected graph, one with an isolated vertex and path:3 start uniform,
+# cycle:5 starts with n + 2 columns, and the last path:3 start breaks the ratio
+# cap on its first edge.  clique:2 draws its second column from a range of one.
 HILLCLIMB_CASES = [(build_family(spec), None) for spec in (
     "petersen", "cycle:6", "cycle:8", "clique:3", "clique:4", "hamming:2,3", "hamming:3,2",
     "path:3", "clique:2")]
-HILLCLIMB_CASES += [(Graph(4, {(0, 1), (2, 3)}), None),
-                    (build_cycle(5), ChannelMatrix.from_rows([[Fraction(1, 7)] * 7] * 5))]
+HILLCLIMB_CASES += [(Graph(4, {(0, 1), (2, 3)}), None), (Graph(3, {(0, 1)}), None),
+                    (build_cycle(5), ChannelMatrix.from_rows([[Fraction(1, 7)] * 7] * 5)),
+                    (build_family("path:3"), ChannelMatrix.from_rows(
+                        [[Fraction(9, 10), Fraction(1, 10)], [Fraction(1, 10), Fraction(9, 10)],
+                         [Fraction(1, 2), Fraction(1, 2)]]))]
+# The sampler's domains: connected, disconnected, one with an isolated vertex
+# and a single vertex; its ratios add a 54-bit one, e^-0.7 as a double.
+SAMPLE_GRAPHS = [build_family(spec) for spec in (
+    "petersen", "cycle:5", "clique:3", "hamming:2,3", "path:4", "path:1")]
+SAMPLE_GRAPHS += [Graph(4, {(0, 1), (2, 3)}), Graph(3, {(0, 1)})]
+SAMPLE_RATIOS = RATIOS + [PrivacyParameter(Fraction(4472842778225313, 9007199254740992))]
 
 
 class TestSearchesMatchTheirReferences:
     """The grid and the hillclimb return the ``SearchReport`` their earlier
     implementations in ``tests/reference_search.py`` return: the same trials,
     the same best matrix (the first in DFS order on ties), the same utility
-    and, for the hillclimb, the same seeded sequence of moves."""
+    and, for the hillclimb, the same seeded sequence of moves.  The sampler
+    yields the same channels as its earlier implementation there."""
 
     # no explain phase: it reruns slow grids for minutes before reporting a failure
     @settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
@@ -298,3 +320,10 @@ class TestSearchesMatchTheirReferences:
         graph, start = case
         assert hillclimb_utility(graph, pp, iters, seed, start) == (
             reference_search.hillclimb_utility(graph, pp, iters, seed, start))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=st.sampled_from(SAMPLE_GRAPHS), pp=st.sampled_from(SAMPLE_RATIOS),
+           count=st.integers(0, 6), seed=st.integers(0, 2 ** 64))
+    def test_random_sample(self, graph, pp, count, seed):
+        assert list(random_dp_sample(graph, pp, count, seed)) == (
+            list(reference_search.random_dp_sample(graph, pp, count, seed)))
