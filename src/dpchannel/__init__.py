@@ -15,9 +15,7 @@ all of them simultaneously.
 
 from .bounds import (
     BoundReport,
-    hamming_identity_check,
     hamming_leakage_bound,
-    hamming_profile,
     individual_leakage_bound,
     posterior_entropy_bound,
     profile_core,
@@ -29,7 +27,6 @@ from .channels import (
     DpAudit,
     PrivacyParameter,
     Prior,
-    ROUNDED_FIXTURE_LN_TOL,
     as_fraction,
     column_maxima_sum,
     dp_audit,

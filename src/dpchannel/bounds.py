@@ -9,50 +9,30 @@ as exact rationals; bits appear only in the report.
 
 On a product domain of u participants over v values the profile is
 binomial, n_d = C(u, d) (v-1)^d, and the core collapses to the closed form
-((v-1) r + 1)^u; :func:`hamming_identity_check` verifies that collapse
-exactly for given parameters.
+((v-1) r + 1)^u.
 """
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import format_fraction, log2_fraction
-from .graphs import DistanceProfile
-
-KIND_POSTERIOR_ENTROPY = "posterior_entropy"
-KIND_LEAKAGE = "leakage"
-KIND_INDIVIDUAL_LEAKAGE = "individual_leakage"
-KIND_UTILITY = "utility"
+from .channels import log2_fraction
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value together with the exact rational core it derives from."""
+    """A bound in bits together with the exact rational core it derives from;
+    ``probability``, the matching success ceiling, is the core's reciprocal."""
 
-    kind: str
     exact_core: Fraction
-    bits: float | None
-    probability: Fraction | None
-    inputs: dict
+    bits: float
 
     def __post_init__(self):
         if self.exact_core < 1:
             raise ValueError("the core sum is at least 1 (the base vertex itself)")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "bits": self.bits,
-            "probability": None if self.probability is None else float(self.probability),
-            "core_num": self.exact_core.numerator,
-            "core_den": self.exact_core.denominator,
-            "inputs": self.inputs,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+    @property
+    def probability(self):
+        return 1 / self.exact_core
 
 
 def profile_core(profile, pp):
@@ -69,17 +49,13 @@ def posterior_entropy_bound(profile, pp):
     matching success-probability ceiling is its reciprocal.
     """
     core = profile_core(profile, pp)
-    return BoundReport(
-        KIND_POSTERIOR_ENTROPY, core, log2_fraction(core), 1 / core,
-        {"profile": list(profile.counts), "r": format_fraction(pp.r)})
+    return BoundReport(core, log2_fraction(core))
 
 
 def utility_bound(profile, pp):
-    """Ceiling on binary utility under the uniform prior: 1 over the core."""
-    core = profile_core(profile, pp)
-    return BoundReport(
-        KIND_UTILITY, core, None, 1 / core,
-        {"profile": list(profile.counts), "r": format_fraction(pp.r), "prior": "uniform"})
+    """Ceiling on binary utility under the uniform prior: the ``probability``
+    of :func:`posterior_entropy_bound`, whose report this is."""
+    return posterior_entropy_bound(profile, pp)
 
 
 def hamming_leakage_bound(u, v, pp):
@@ -90,36 +66,12 @@ def hamming_leakage_bound(u, v, pp):
     """
     if u < 1 or v < 2:
         raise ValueError("need u >= 1 participants and v >= 2 values")
-    r = pp.r
-    core = ((v - 1) * r + 1) ** u
-    bits = log2_fraction(Fraction(v ** u) / core)
-    return BoundReport(KIND_LEAKAGE, core, bits, None,
-                       {"u": u, "v": v, "r": format_fraction(pp.r)})
+    core = ((v - 1) * pp.r + 1) ** u
+    return BoundReport(core, log2_fraction(Fraction(v ** u) / core))
 
 
 def individual_leakage_bound(v, pp):
     """Leakage ceiling about one participant's value; independent of how
-    many other participants the domain has.
-
-    This is the whole-domain bound of the v-clique profile (1, v-1).
-    """
-    if v < 2:
-        raise ValueError("need v >= 2 values")
-    r = pp.r
-    core = (v - 1) * r + 1
-    bits = log2_fraction(Fraction(v) / core)
-    return BoundReport(KIND_INDIVIDUAL_LEAKAGE, core, bits, None,
-                       {"v": v, "r": format_fraction(pp.r)})
-
-
-def hamming_identity_check(u, v, pp):
-    """Exactly verify sum_d C(u,d) (v-1)^d r^d == ((v-1) r + 1)^u."""
-    if u < 1 or v < 2:
-        raise ValueError("need u >= 1 participants and v >= 2 values")
-    return profile_core(hamming_profile(u, v), pp) == ((v - 1) * pp.r + 1) ** u
-
-
-def hamming_profile(u, v):
-    """The binomial profile of the (u, v) product domain, from the closed form."""
-    counts = tuple(math.comb(u, d) * (v - 1) ** d for d in range(u + 1))
-    return DistanceProfile(counts)
+    many other participants the domain has: the whole-domain bound of the
+    v-clique, one participant over v values."""
+    return hamming_leakage_bound(1, v, pp)

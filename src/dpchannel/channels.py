@@ -13,7 +13,7 @@ denominator, and entries of two rows compare by integer cross-multiplication,
 so validation, the audit, column maxima and posterior success never divide;
 the transforms, the oracle searches and ``utility`` use ``scaled_rows``,
 and the random sampler builds integer rows directly.  ``Fraction`` values
-appear at the API edge (``entries``, ``entry``, ``column``, the results).
+appear at the API edge (``entries``, ``entry``, the results).
 
 Every probability value a caller or a file supplies, matrix cells and prior
 values alike, is read by one cell reader, ``_read_rows``: it turns each row
@@ -40,12 +40,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
-DEFAULT_LN_TOL = 1e-9
-# Published tables rounded to three decimals can nominally overshoot the
-# declared epsilon by a couple of thousandths; audit those with this profile.
-ROUNDED_FIXTURE_LN_TOL = 1e-2
+DEFAULT_LN_TOL = 1e-9   # the verdict's slack: a ratio up to e^epsilon (1 + tol) passes
 
 
 def as_fraction(x):
@@ -310,9 +307,6 @@ class ChannelMatrix:
     def entry(self, i, j):
         return Fraction(self.numerators[i][j], self.denominators[i])
 
-    def column(self, j):
-        return tuple(Fraction(row[j], den) for row, den in zip(self.numerators, self.denominators))
-
     def _row_factors(self, weights):
         """``(f, D)``: integers with ``weights[i] / denominators[i] == f[i] / D``,
         D the lcm of the reduced denominators.  A weight p/q is in lowest
@@ -334,11 +328,6 @@ class ChannelMatrix:
         streamed over the numerators without building the scaled rows."""
         factors, den = self._row_factors(weights)
         return [max(map(operator.mul, col, factors)) for col in zip(*self.numerators)], den
-
-    @cached_property
-    def column_maxima(self):
-        tops, den = self._weighted_column_maxima([1] * self.rows)
-        return tuple(Fraction(t, den) for t in tops)
 
     def with_labels(self, row_labels=None, col_labels=None):
         return type(self)(self.numerators, row_labels or self.row_labels,
@@ -406,12 +395,22 @@ class ChannelMatrix:
     @classmethod
     def from_dict(cls, d):
         """Build from ``to_dict``'s form, an object whose ``entries`` is a
-        list of rows, each a list of cells; labels are optional."""
+        list of rows, each a list of cells, strings or numbers; labels are
+        optional lists of strings or integers.  As in :meth:`Graph.from_dict`,
+        a malformed field is a ValueError naming it, and a JSON boolean is
+        no number."""
         entries = d.get("entries") if isinstance(d, dict) else None
         lists = (list, tuple)
         if not isinstance(entries, lists) or not all(isinstance(r, lists) for r in entries):
             raise ValueError("matrix JSON must be an object whose 'entries' is a list of row lists")
-        return cls.from_rows(entries, d.get("row_labels"), d.get("col_labels"))
+        if not set(map(type, chain.from_iterable(entries))) <= {str, int, float}:
+            raise ValueError("matrix JSON 'entries' cells must be strings or numbers")
+        labels = d.get("row_labels"), d.get("col_labels")
+        for field, names in zip(("row_labels", "col_labels"), labels):
+            if names is not None and not (
+                    type(names) in lists and set(map(type, names)) <= {str, int}):
+                raise ValueError(f"matrix JSON {field!r} must be a list of strings or integers")
+        return cls.from_rows(entries, *labels)
 
     @classmethod
     def from_json(cls, text):
@@ -449,28 +448,29 @@ def prior_from_csv(text):
 class DpAudit:
     """Worst adjacent same-column ratio of a channel over a graph.
 
-    ``eps_star`` is the natural log of the worst ratio (inf when some
+    ``max_ratio`` is the exact worst ratio, None when infinite (some
     adjacent pair maps one input to an output the other never produces).
-    ``max_ratio`` keeps the exact rational behind eps_star, None when
-    infinite.  The witness is oriented so that
+    The witness is oriented so that
     ``M[witness[0]][witness[2]] / M[witness[1]][witness[2]]`` realises it.
     """
 
-    eps_star: float
     worst_witness: tuple | None
     max_ratio: Fraction | None
+
+    @property
+    def eps_star(self):
+        """The natural log of the worst ratio, inf when it is infinite."""
+        q = self.max_ratio
+        return math.inf if q is None else math.log(q.numerator) - math.log(q.denominator)
 
     def is_dp(self, pp, tol=DEFAULT_LN_TOL):
         """Does the audited channel meet the declared privacy level?
 
-        The comparison happens on the log scale with an additive tolerance;
-        with ``tol=0`` and a finite audit it is exact rational comparison.
+        Exactly when the worst ratio is at most e^epsilon (1 + tol), compared
+        as rationals; ``tol`` is read by :func:`as_fraction`.
         """
-        if self.max_ratio is None:
-            return False
-        if tol == 0:
-            return self.max_ratio <= pp.inv_ratio
-        return self.eps_star <= pp.epsilon + tol
+        return (self.max_ratio is not None
+                and self.max_ratio <= pp.inv_ratio * (1 + as_fraction(tol)))
 
 
 def _is_invariant(matrix, graph):
@@ -555,7 +555,7 @@ def dp_audit(matrix, graph):
                 continue
             if x == 0 or y == 0:
                 wit = (i, h, j) if x > 0 else (h, i, j)
-                return DpAudit(math.inf, wit, None)
+                return DpAudit(wit, None)
             if x > y:
                 if x * best_den > y * best_num:
                     best_num, best_den, witness, raised = x, y, (i, h, j), True
@@ -565,8 +565,7 @@ def dp_audit(matrix, graph):
             g = math.gcd(best_num, best_den)
             best_num, best_den = best_num // g, best_den // g
             products = {}
-    eps_star = math.log(best_num) - math.log(best_den)
-    return DpAudit(eps_star, witness, Fraction(best_num, best_den))
+    return DpAudit(witness, Fraction(best_num, best_den))
 
 
 # ---------------------------------------------------------------------------

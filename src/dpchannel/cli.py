@@ -198,8 +198,8 @@ def _emit(args, **renderers):
 
 def non_negative_float(text):
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
     return value
 
 
@@ -289,17 +289,16 @@ def cmd_analyze(args):
         "column_maxima_sum": format_fraction(maxima_sum),
     }
 
-    ent_bound = util_bound = None
+    bound = None
     if g.is_connected:
         shared = common_profile(g)
         if shared is not None:
-            ent_bound = bounds_mod.posterior_entropy_bound(shared, pp)
-            util_bound = bounds_mod.utility_bound(shared, pp)
+            bound = bounds_mod.posterior_entropy_bound(shared, pp)
             payload.update({
-                "posterior_entropy_bound_bits": ent_bound.bits,
-                "utility_bound": format_fraction(util_bound.probability),
+                "posterior_entropy_bound_bits": bound.bits,
+                "utility_bound": format_fraction(bound.probability),
                 "uniform_utility": format_fraction(uniform_success),
-                "attains_bound": uniform_success == util_bound.probability,
+                "attains_bound": uniform_success == bound.probability,
             })
         else:
             payload["bounds_note"] = "profile is base-dependent; symmetry bounds not applicable"
@@ -323,12 +322,12 @@ def cmd_analyze(args):
             f" (column-maxima sum {payload['column_maxima_sum']})",
             f"binary utility (optimal guess): {_frac_float(success)}",
         ]
-        if util_bound is not None:
+        if bound is not None:
             lines.append(
-                f"posterior entropy bound: {ent_bound.bits:.6f} bits"
-                f" (core {format_fraction(ent_bound.exact_core)})")
+                f"posterior entropy bound: {bound.bits:.6f} bits"
+                f" (core {format_fraction(bound.exact_core)})")
             lines.append(
-                f"utility bound (uniform prior): {_frac_float(util_bound.probability)}")
+                f"utility bound (uniform prior): {_frac_float(bound.probability)}")
             lines.append(f"attains bound: {'yes' if payload['attains_bound'] else 'no'}")
         elif "bounds_note" in payload:
             lines.append("bounds: not applicable (base-dependent profile)")
@@ -535,7 +534,7 @@ def build_parser():
     p.add_argument("--matrix", required=True, help="matrix CSV/JSON path or fixture:geometric")
     p.add_argument("--prior", help="prior CSV path (label,value per line)")
     p.add_argument("--tolerance", type=non_negative_float, default=DEFAULT_LN_TOL,
-                   help="ln-scale tolerance of the epsilon verdict")
+                   help="slack of the epsilon verdict: a ratio up to e^epsilon (1 + tol) passes")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("transform", help="canonical-form pipeline")

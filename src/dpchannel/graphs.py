@@ -279,7 +279,9 @@ class DistanceProfile:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
+        if any(type(c) is not int for c in counts):
+            raise ValueError("profile counts must be integers")
         object.__setattr__(self, "counts", counts)
         if not counts or counts[0] != 1:
             raise ValueError("a distance profile starts with a single vertex at distance 0")
@@ -306,8 +308,9 @@ class IntersectionArray:
     c: tuple
 
     def __post_init__(self):
-        b = tuple(int(x) for x in self.b)
-        c = tuple(int(x) for x in self.c)
+        b, c = tuple(self.b), tuple(self.c)
+        if any(type(x) is not int for x in b + c):
+            raise ValueError("intersection numbers must be integers")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if len(b) != len(c):

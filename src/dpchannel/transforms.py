@@ -30,7 +30,6 @@ from .graphs import (
     DEFAULT_SEARCH_EFFORT,
     distance_profile,
     is_distance_regular,
-    verify_family,
     vt_plus_certificate,
 )
 
@@ -137,18 +136,18 @@ def symmetrize_distance_regular(cf, graph):
     return CanonicalForm(matrix, STAGE_SYMMETRIC, cf.merge_map, "distance_regular")
 
 
-def symmetrize_vt_plus(cf, graph, family):
-    """Average each entry over the automorphism family's relabelings.
+def symmetrize_vt_plus(cf, graph):
+    """Average each entry over the relabelings of ``graph.certified_family``.
 
-    A family other than ``graph.certified_family``, which was verified when
-    it was recorded, is checked with :func:`verify_family`; an invalid
-    certificate is a precondition error.  Because the family moves any
-    fixed vertex through every position exactly once, all diagonal entries
-    of the result equal the mean of the previous diagonal.
+    The family, verified when it was recorded, must exist; a graph without
+    one is a precondition error.  Because the family moves any fixed vertex
+    through every position exactly once, all diagonal entries of the result
+    equal the mean of the previous diagonal.
     """
     _require_diagonal(cf)
-    if family is not graph.certified_family and not verify_family(graph, family):
-        raise ValueError("automorphism family failed verification")
+    family = graph.certified_family
+    if family is None:
+        raise ValueError("the graph carries no certified automorphism family")
     n, m = graph.n, cf.matrix.cols
     rows, den = cf.matrix.scaled_rows()
     nums = [[0] * m for _ in range(n)]
@@ -172,15 +171,15 @@ def canonicalize(matrix, graph, effort=DEFAULT_SEARCH_EFFORT):
     always on a disconnected graph, where distance-regularity is undefined.
     Raises ``SymmetryRequiredError`` when neither applies (or could be
     certified within the search budget).  Each proof is made once per
-    graph: the step reads the cached intersection array, and the
-    certificate's family is the graph's own, verified when it was recorded.
+    graph: either step reads what the graph recorded, the intersection
+    array or the certificate's family.
     """
     cf = to_diagonal_form(matrix, graph)
     if graph.is_connected and is_distance_regular(graph) is not None:
         return symmetrize_distance_regular(cf, graph)
     cert = vt_plus_certificate(graph, effort)
     if cert.status == "yes":
-        return symmetrize_vt_plus(cf, graph, cert.family)
+        return symmetrize_vt_plus(cf, graph)
     raise SymmetryRequiredError(
         "graph is neither distance-regular nor certifiably vertex-transitive "
         f"(certificate search said {cert.status!r})")

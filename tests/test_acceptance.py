@@ -24,7 +24,6 @@ from dpchannel import (
     distance_profile,
     dp_audit,
     grid_search_optimal,
-    hamming_identity_check,
     hamming_leakage_bound,
     hillclimb_utility,
     is_distance_regular,
@@ -39,6 +38,8 @@ from dpchannel import (
     utility_bound,
     vt_plus_certificate,
 )
+
+from closed_forms import hamming_identity_check
 
 HALF = PrivacyParameter(Fraction(1, 2))
 

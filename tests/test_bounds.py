@@ -1,6 +1,5 @@
 """Closed-form bound evaluation and its internal identities."""
 
-import json
 import math
 import re
 from fractions import Fraction
@@ -8,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dpchannel import (
+    BoundReport,
     DistanceProfile,
     PrivacyParameter,
     Prior,
@@ -15,16 +15,17 @@ from dpchannel import (
     build_hamming,
     build_petersen,
     distance_profile,
-    hamming_identity_check,
     hamming_leakage_bound,
-    hamming_profile,
     individual_leakage_bound,
     leakage,
+    log2_fraction,
     optimal_mechanism,
     posterior_entropy_bound,
     profile_core,
     utility_bound,
 )
+
+from closed_forms import hamming_identity_check, hamming_profile
 
 HALF = PrivacyParameter(Fraction(1, 2))
 THIRD = PrivacyParameter(Fraction(1, 3))
@@ -34,10 +35,8 @@ ONE = PrivacyParameter(1)
 @pytest.mark.parametrize("bound, args, message", [
     (hamming_leakage_bound, (0, 2), "need u >= 1 participants and v >= 2 values"),
     (hamming_leakage_bound, (2, 1), "need u >= 1 participants and v >= 2 values"),
-    (individual_leakage_bound, (1,), "need v >= 2 values"),
-    (hamming_identity_check, (0, 3), "need u >= 1 participants and v >= 2 values"),
-    (hamming_identity_check, (3, 1), "need u >= 1 participants and v >= 2 values"),
-], ids=["leakage-u", "leakage-v", "individual-v", "identity-u", "identity-v"])
+    (individual_leakage_bound, (1,), "need u >= 1 participants and v >= 2 values"),
+], ids=["leakage-u", "leakage-v", "individual-v"])
 def test_parameter_refusals(bound, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bound(*args, HALF)
@@ -82,7 +81,7 @@ class TestUtilityBound:
         for pp in (HALF, THIRD, ONE):
             ent = posterior_entropy_bound(profile, pp)
             util = utility_bound(profile, pp)
-            assert util.exact_core == ent.exact_core
+            assert util == ent
             assert util.probability == 1 / ent.exact_core
 
 
@@ -132,6 +131,11 @@ class TestIndividualLeakageBound:
             assert (individual_leakage_bound(v, HALF).exact_core
                     == profile_core(profile, HALF))
 
+    def test_is_the_one_participant_domain_bound(self):
+        for v in range(2, 7):
+            for pp in (HALF, THIRD, ONE):
+                assert individual_leakage_bound(v, pp) == hamming_leakage_bound(1, v, pp)
+
 
 class TestHammingIdentity:
     def test_cube_at_half(self):
@@ -163,17 +167,16 @@ class TestMonotonicity:
         assert utilities == sorted(utilities, reverse=True)
 
 
-class TestReportSerialization:
-    def test_json_schema(self):
+class TestBoundReport:
+    def test_a_report_is_its_core_and_bits(self):
         report = utility_bound(DistanceProfile((1, 2, 2, 1)), HALF)
-        payload = json.loads(report.to_json())
-        assert set(payload) == {"kind", "bits", "probability",
-                                "core_num", "core_den", "inputs"}
-        assert payload["core_num"] == 21 and payload["core_den"] == 8
-        assert payload["probability"] == pytest.approx(8 / 21)
+        assert report == BoundReport(Fraction(21, 8), log2_fraction(Fraction(21, 8)))
+        assert report.probability == Fraction(8, 21)
+
+    def test_every_report_derives_its_success_ceiling(self):
+        assert hamming_leakage_bound(2, 2, HALF).probability == Fraction(4, 9)
+        assert individual_leakage_bound(6, HALF).probability == Fraction(2, 7)
 
     def test_core_floor(self):
-        with pytest.raises(ValueError):
-            from dpchannel.bounds import BoundReport
-
-            BoundReport("utility", Fraction(1, 2), None, Fraction(2), {})
+        with pytest.raises(ValueError, match="^the core sum is at least 1"):
+            BoundReport(Fraction(1, 2), -1.0)

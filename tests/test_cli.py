@@ -136,7 +136,7 @@ class TestGraphCommand:
         assert captured.err == "error: internal error: single-orbit powers failed verification\n"
 
     def test_an_infeasible_sample_is_an_internal_error(self, capsys, monkeypatch):
-        infinite = DpAudit(float("inf"), None, None)
+        infinite = DpAudit(None, None)
         monkeypatch.setattr(oracle, "dp_audit", lambda matrix, graph: infinite)
         assert main(["oracle", "--family", "cycle:5", "--ratio", "1/2",
                      "--method", "random", "--count", "1"]) == 3
@@ -508,6 +508,18 @@ class TestAnalyzeCommand:
          "matrix JSON must be an object whose 'entries' is a list of row lists"),
         ("m.csv", ",a,b\nx,1/0,1\ny,1/2,1/2\n", "cell '1/0' has a zero denominator"),
         ("m.json", '{"entries": [["1", "0"], ["0/0", "1"]]}', "cell '0/0' has a zero denominator"),
+        ("m.json", '{"entries": [[true, false], [false, true]]}',
+         "matrix JSON 'entries' cells must be strings or numbers"),
+        ("m.json", '{"entries": [["1/2", "1/2"], [null, "1"]]}',
+         "matrix JSON 'entries' cells must be strings or numbers"),
+        ("m.json", '{"entries": [["1", "0"], ["0", "1"]], "row_labels": "ab"}',
+         "matrix JSON 'row_labels' must be a list of strings or integers"),
+        ("m.json", '{"entries": [["1", "0"], ["0", "1"]], "row_labels": [["a"], ["b"]]}',
+         "matrix JSON 'row_labels' must be a list of strings or integers"),
+        ("m.json", '{"entries": [["1", "0"], ["0", "1"]], "col_labels": [true, false]}',
+         "matrix JSON 'col_labels' must be a list of strings or integers"),
+        ("m.json", '{"entries": [["1", "0"], ["0", "1"]], "col_labels": 5}',
+         "matrix JSON 'col_labels' must be a list of strings or integers"),
     ])
     def test_malformed_matrix_input_is_named(self, name, text, message, tmp_path, capsys):
         matrix = tmp_path / name
@@ -523,13 +535,13 @@ class TestAnalyzeCommand:
                      "--ratio", "1/2", "--prior", str(prior)]) == 1
         assert capsys.readouterr().err == "error: cell ' 1/0' has a zero denominator\n"
 
-    @pytest.mark.parametrize("value", ["-0.1", "-1e-12", "nan"])
+    @pytest.mark.parametrize("value", ["-0.1", "-1e-12", "nan", "inf", "1e400"])
     def test_negative_tolerance_is_refused(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--family", "clique:6", "--matrix", "fixture:geometric",
                   "--ratio", "1/2", f"--tolerance={value}"])
         assert exc.value.code != 0
-        assert "--tolerance: must be a non-negative number" in capsys.readouterr().err
+        assert "--tolerance: must be a finite non-negative number" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("with_prior, scans", [(False, 1), (True, 2)],

@@ -106,6 +106,9 @@ class TestRefusals:
         ((2, 1), "a distance profile starts with a single vertex at distance 0"),
         ((1, -1, 2), "profile counts must be non-negative"),
         ((1, 2, 0), "profile must not carry trailing zero strata"),
+        ((1, 2.7, "3"), "profile counts must be integers"),
+        ((1, 2.9), "profile counts must be integers"),
+        ((True, 2), "profile counts must be integers"),
     ])
     def test_distance_profile(self, counts, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -115,6 +118,9 @@ class TestRefusals:
         ((3, 2), (1,), "b and c must cover the same distance range"),
         ((3, -2), (1, 1), "intersection numbers are non-negative"),
         ((3, 2), (2, 1), "c_1 is 1 in any distance-regular graph"),
+        ((2.5,), (1.9,), "intersection numbers must be integers"),
+        ((3, "2"), (1, 1), "intersection numbers must be integers"),
+        ((1,), (True,), "intersection numbers must be integers"),
     ])
     def test_intersection_array(self, b, c, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -321,6 +321,15 @@ class TestSearchesMatchTheirReferences:
         assert hillclimb_utility(graph, pp, iters, seed, start) == (
             reference_search.hillclimb_utility(graph, pp, iters, seed, start))
 
+    def test_hillclimb_refuses_every_move_that_lowers_utility(self):
+        # Without edges every move is feasible: a climb that took a move losing
+        # one unit (gain < -1 in place of gain < 0) ends at 85/96
+        graph = Graph(3, [])
+        start = ChannelMatrix([[1, 0, 0], [1, 0, 0], [0, 0, 1]], denominators=[1] * 3)
+        report = hillclimb_utility(graph, HALF, 300, 0, start)
+        assert report == reference_search.hillclimb_utility(graph, HALF, 300, 0, start)
+        assert (report.trials, report.best_utility) == (300, Fraction(343, 384))
+
     @settings(max_examples=200, deadline=None)
     @given(graph=st.sampled_from(SAMPLE_GRAPHS), pp=st.sampled_from(SAMPLE_RATIOS),
            count=st.integers(0, 6), seed=st.integers(0, 2 ** 64))
