@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Stdlib-only smoke check: run the demos, pin seven synth reports, one
-analyze and one transform report, four oracle reports and two graph reports,
+analyze and one transform report, six oracle reports and two graph reports,
 and certify one relabelled Hamming graph.
 
     python scripts/smoke.py
@@ -19,7 +19,8 @@ hamming:3,3 with that kernel's ``matrix`` read back from a file (a matrix
 read from a file is checked for invariance before the vertex-0 audit),
 ``dpchannel transform --format json`` on hamming:3,3 with the same file
 (its symmetric form is not carried, so its matrix block is spelt row by
-row), ``dpchannel oracle --format json`` with ``--method grid`` on clique:3 and
+row), ``dpchannel oracle --format json`` with ``--method grid`` (at its
+default step 1/16) on clique:3 at 1/2 and 2/3 and on path:3 at 1/2, and
 with a seeded ``--method hillclimb`` on path:5 (whose uniform start climbs,
 so the report depends on every draw the hillclimb makes from its seed) and
 a seeded ``--method random`` on petersen at 2/3 and on cycle:9 at a 54-bit
@@ -76,6 +77,10 @@ ANALYZE_SHA256 = "79cda1efeae85387449be47b2a1da71839944e36ad7445f74d3a8a8ca02114
 ORACLE_SHA256 = {
     ("--family", "clique:3", "--ratio", "1/2", "--method", "grid"):
         "7cceb908fd81ea5f2c07a9741a795e181e6b6a63cb45b53f642e573df9048a13",
+    ("--family", "clique:3", "--ratio", "2/3", "--method", "grid"):
+        "e9193eb46900fb4afb32e8b906412d740c501fbb884651d04217c535a1f0f728",
+    ("--family", "path:3", "--ratio", "1/2", "--method", "grid"):
+        "94713504415c580ccd181e4c73c497009af70ccc707b1658d37be34a8bf1a73a",
     ("--family", "path:5", "--ratio", "1/2", "--method", "hillclimb", "--seed", "3"):
         "9a0a426d01e7bdec909bc7239a06fb064c99cf8ba740c67e796307e76c2ca608",
     ("--family", "petersen", "--ratio", "2/3", "--method", "random", "--seed", "5"):

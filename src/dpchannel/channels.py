@@ -51,11 +51,12 @@ def as_fraction(x):
     Strings accept both ``p/q`` and decimal literals.  Floats are read
     through their shortest decimal representation, so ``0.25`` means 1/4
     and ``0.535`` means 107/200; pass a string or Fraction to control the
-    value precisely.
+    value precisely.  A bool is no number: it is refused with the other
+    types.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

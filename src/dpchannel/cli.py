@@ -126,6 +126,14 @@ class _Spelt:
         self.rows = rows
 
 
+class _SpeltPairs:
+    """A list of two-cell lists spelt as JSON, grouped by first cell:
+    ``groups`` yields ``(head, tails)``, the texts of the pairs
+    ``[head, tail]`` for each tail in ``tails``, in order."""
+    def __init__(self, groups):
+        self.groups = groups
+
+
 def _matrix_json(matrix):
     """``matrix.to_dict()`` with its entries as a :class:`_Spelt` block."""
     return {"row_labels": matrix.row_labels, "col_labels": matrix.col_labels,
@@ -141,8 +149,10 @@ def _write_json(write, value, pad="\n"):
     that holds a dict, list or tuple.  Any other non-empty list or tuple is
     spelt by one ``json.dumps`` call without ``indent`` (``json``'s C
     encoder), its brackets padded as ``indent`` pads them.  A
-    :class:`_Spelt` block (a report's matrix entries, synth's edges) is
-    written one join, and one ``write``, per row, its cells taken as spelt.
+    :class:`_Spelt` block (a report's matrix entries) is written one join,
+    and one ``write``, per row, its cells taken as spelt; a
+    :class:`_SpeltPairs` block (synth's edges) one join, and one ``write``,
+    per head.
     An int (not a bool) is spelt in full, past the interpreter's digit limit
     for ``str``; every other value is spelt by ``json.dumps``.  ``pad`` is
     the newline and indentation before the closing bracket.
@@ -161,6 +171,14 @@ def _write_json(write, value, pad="\n"):
         for row in value.rows:
             write(sep + "[" + cell[1:] + cell.join(row) + inner + "]")
             sep = "," + inner
+        write(pad + "]" if sep[0] == "," else "[]")
+    elif isinstance(value, _SpeltPairs):
+        sep = "[" + inner
+        for head, tails in value.groups:
+            if tails:
+                start = "[" + inner + "  " + head + "," + inner + "  "
+                write(sep + start + (inner + "]," + inner + start).join(tails) + inner + "]")
+                sep = "," + inner
         write(pad + "]" if sep[0] == "," else "[]")
     elif isinstance(value, (list, tuple)) and value:
         if any(isinstance(item, (dict, list, tuple)) for item in value):
@@ -377,8 +395,8 @@ def cmd_synth(args):
         # bundle.to_dict(), its edges spelt off the adjacency rows (j > i)
         # and its entries as the matrix spells them, plus utility and eps_star
         names = list(map(str, range(g.n)))
-        graph = {"n": g.n, "edges": _Spelt((names[i], names[j]) for i, row in enumerate(
-            g.adjacency) for j in row[bisect.bisect(row, i):])}
+        graph = {"n": g.n, "edges": _SpeltPairs((names[i], [names[j] for j in row[
+            bisect.bisect(row, i):]]) for i, row in enumerate(g.adjacency))}
         if g.labels is not None:
             graph["labels"] = g.labels
         return {"graph": graph, "matrix": _matrix_json(matrix), "r_num": pp.r.numerator,

@@ -91,7 +91,7 @@ class Graph:
     labels: tuple | None
 
     def __init__(self, n, edges, labels=None):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("vertex count must be a positive integer")
         nbrs = [[] for _ in range(n)]
         for edge in edges:

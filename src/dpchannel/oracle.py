@@ -77,9 +77,24 @@ def grid_search_optimal(graph, pp, step):
     and ties keep the first assignment in that depth-first order, so the
     report is deterministic.  ``trials`` counts the feasible complete
     assignments: at the last vertex the candidates left are one bitmask,
-    counted by its popcount and each scored against the column maxima
-    carried down the search.  Domains beyond three vertices are refused:
+    counted by its popcount.  Domains beyond three vertices are refused:
     the grid simplex explodes combinatorially.
+
+    Only the candidates at the last vertex that can beat the best total so
+    far are scored against the column maxima carried down the search.  With
+    those maxima m, M = sum(m) and need = best − M, candidate x scores
+    M + sum of x_j − m_j over the set G of columns where x_j > m_j, and beats
+    the best iff that gain exceeds need.  When need < 0 every candidate does.
+    Otherwise an earlier leaf was scored, so n >= 2, a full row is assigned
+    and M >= q: G is neither empty (no gain) nor every column (a gain of
+    q − M <= 0).  With at most three columns G is then one column j, a
+    winner iff x_j > m_j + need, or all columns but one c, a winner iff
+    x_c < q − M + m_c − need = q − best + m_c.  Each test alone implies a
+    gain above need whatever G is, so the candidates that pass either, read
+    off per-column masks, are exactly the winners.  Four columns would allow
+    a G of two columns out of four, which neither test sees, so the proof
+    needs the vertex cap.  The winners are scored in the order of the full
+    scan, each against the best as it rises, so the report does not change.
     """
     n = graph.n
     if n > GRID_VERTEX_CAP:
@@ -103,6 +118,12 @@ def grid_search_optimal(graph, pp, step):
     # compat[c]: the candidates allowed beside candidate c on an edge
     compat = [functools.reduce(operator.and_, (near[j][x] for j, x in enumerate(cand)))
               for cand in cands]
+    # above[j][t] / below[j][t]: the candidates with more / fewer than t units in
+    # column j, for t = 0 .. q (the last vertex's winner test, see the docstring)
+    above = [[functools.reduce(operator.or_, col[t + 1:], 0) for t in range(q + 1)]
+             for col in holding]
+    below = [[functools.reduce(operator.or_, col[:t], 0) for t in range(q + 1)]
+             for col in holding]
 
     full_mask = (1 << len(cands)) - 1
     adj = graph.adjacency
@@ -121,6 +142,12 @@ def grid_search_optimal(graph, pp, step):
                 mask &= compat[assign[u]]
         if v == last:
             trials += mask.bit_count()
+            need = best_total - sum(colmax)
+            if need >= 0:   # keep the candidates that can beat best_total
+                hit = 0
+                for m, more, fewer in zip(colmax, above, below):
+                    hit |= more[min(m + need, q)] | fewer[max(q - best_total + m, 0)]
+                mask &= hit
             while mask:
                 low = mask & -mask
                 mask ^= low

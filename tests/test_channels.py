@@ -92,6 +92,16 @@ class TestCoercion:
         with pytest.raises(TypeError):
             as_fraction(object())
 
+    @pytest.mark.parametrize("build", [
+        lambda: as_fraction(True),
+        lambda: PrivacyParameter(True),
+        lambda: Prior((True, False)),
+        lambda: ChannelMatrix.from_rows([[True, False], [False, True]]),
+    ], ids=["as_fraction", "PrivacyParameter", "Prior", "from_rows"])
+    def test_a_bool_is_no_number(self, build):
+        with pytest.raises(TypeError, match="^cannot interpret bool as an exact probability$"):
+            build()
+
 
 class TestPrivacyParameter:
     def test_ratio_bounds(self):

@@ -8,6 +8,7 @@ import hashlib
 import io
 import itertools
 import json
+import pathlib
 import re
 import sys
 import time
@@ -731,7 +732,7 @@ class TestCompareCommand:
 
     def test_a_prior_name_is_quoted_in_csv(self, m2_csv, city_prior_csv, tmp_path, capsys):
         path = tmp_path / 'sk,ew"ed.csv'
-        path.write_text(open(city_prior_csv, encoding="utf-8").read(), encoding="utf-8")
+        path.write_text(pathlib.Path(city_prior_csv).read_text(encoding="utf-8"), encoding="utf-8")
         assert main(["compare", "--matrix-a", "fixture:geometric", "--matrix-b", m2_csv,
                      "--prior", str(path), "--format", "csv"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -96,7 +96,7 @@ class TestAdjacency:
 class TestRefusals:
     """Each refusal of a constructor or validator, with its message."""
 
-    @pytest.mark.parametrize("n", [0, -1, 2.0], ids=["zero", "negative", "float"])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
     def test_graph_vertex_count(self, n):
         with pytest.raises(ValueError, match="^vertex count must be a positive integer$"):
             Graph(n, [])

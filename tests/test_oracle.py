@@ -313,6 +313,13 @@ class TestSearchesMatchTheirReferences:
         assert grid_search_optimal(graph, pp, step) == (
             reference_search.grid_search_optimal(graph, pp, step))
 
+    @pytest.mark.parametrize("family", ["path:3", "clique:3"])
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)], ids=str)
+    def test_grid_at_the_cli_default_step(self, family, r):
+        graph, pp, step = build_family(family), PrivacyParameter(r), Fraction(1, 16)
+        assert grid_search_optimal(graph, pp, step) == (
+            reference_search.grid_search_optimal(graph, pp, step))
+
     @settings(max_examples=300, deadline=None)
     @given(case=st.sampled_from(HILLCLIMB_CASES), pp=st.sampled_from(RATIOS),
            iters=st.integers(0, 1500), seed=st.integers(0, 2 ** 64))
